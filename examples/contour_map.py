@@ -32,7 +32,7 @@ def main() -> None:
     for level in levels:
         index.clear_caches()
         before = index.stats.snapshot()
-        candidates = index._candidates(level, level)
+        candidates = index._candidates(level, level)[0]
         pages = index.stats.diff(before).page_reads
         segments = extract_isolines(DEMField, candidates, level)
         print(f"{level:>8.0f}m {len(candidates):>7} {len(segments):>9} "

@@ -376,9 +376,10 @@ def throughput(full: bool = False, queries: int | None = None,
     comparable across commits.  The *pipeline* sweep is the serving
     configuration — merged fetch groups, a shared
     :data:`~repro.core.batch.DEFAULT_BATCH_CACHE_PAGES`-page buffer
-    pool, and the vectorized hot path — whose oracle is one serial run
-    with ``engine="scalar"``: every pipelined point must match that
-    oracle byte for byte (per-query answers, per-query I/O, and total
+    pool, and the batched hot path — whose oracle is one serial
+    :class:`~repro.core.batch.BatchQueryEngine` run of the same
+    configuration: every pipelined point must match that oracle byte
+    for byte (per-query answers, per-query I/O, and total
     I/O accounting), so the speedup it reports is a speedup on a
     provably equivalent execution.
     """
@@ -481,20 +482,18 @@ def throughput(full: bool = False, queries: int | None = None,
                 and qps_by_workers[worker_counts[-1]]
                 < qps_by_workers[worker_counts[0]]):
             regressions.append(name)
-        # Pipeline sweep: merged groups + shared pool + vectorized
-        # engine, checked byte-for-byte against a serial scalar oracle.
+        # Pipeline sweep: merged groups + shared pool, checked
+        # byte-for-byte against a serial batch-engine oracle.
         cache = DEFAULT_BATCH_CACHE_PAGES
-        index.engine = "scalar"
         index.clear_caches()
         index.stats.reset()
         oracle = BatchQueryEngine(index, cache_pages=cache,
                                   merge=True).run(workload,
                                                   estimate=estimate)
-        index.engine = "vectorized"
         entry["pipeline"] = {
             "cache_pages": cache,
             "merge": True,
-            "scalar_oracle_page_reads": oracle.io.page_reads,
+            "oracle_page_reads": oracle.io.page_reads,
             "points": [],
         }
         for n_workers in worker_counts:
@@ -506,10 +505,10 @@ def throughput(full: bool = False, queries: int | None = None,
             t0 = time.perf_counter()
             par = engine.run(workload, estimate=estimate)
             wall = time.perf_counter() - t0
-            for r_scl, r_par in zip(oracle.results, par.results):
-                assert r_scl.candidate_count == r_par.candidate_count, name
-                assert r_scl.area == r_par.area, name
-                assert r_scl.io == r_par.io, name
+            for r_ora, r_par in zip(oracle.results, par.results):
+                assert r_ora.candidate_count == r_par.candidate_count, name
+                assert r_ora.area == r_par.area, name
+                assert r_ora.io == r_par.io, name
             assert oracle.io == par.io, name
             qps = len(workload) / wall
             vs_legacy = qps / qps_by_workers[n_workers]
@@ -536,8 +535,8 @@ def throughput(full: bool = False, queries: int | None = None,
         "",
         "(answers, per-query I/O and total page counts verified "
         "identical to the serial batch engine at every worker count; "
-        "'+pipe' rows are the merged+cached+vectorized pipeline, "
-        "verified byte-identical to a serial scalar-engine oracle, "
+        "'+pipe' rows are the merged+cached pipeline, "
+        "verified byte-identical to a serial batch-engine oracle, "
         "speedup column relative to the legacy row at the same worker "
         "count)",
     ]

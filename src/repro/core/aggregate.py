@@ -495,7 +495,7 @@ def exact_aggregate(index, kind: str, lo: float,
     _validate(kind, lo, hi, "exact", None)
     before = index.stats.snapshot()
     with index.tracer.span("aggregate", {"kind": kind}) as span:
-        candidates = index._candidates(lo, hi)
+        candidates, _ = index._candidates(lo, hi)
         parts = _exact_components(index.field_type, candidates, lo, hi)
         if kind == "avg":
             value = (parts["sum"] / parts["count"]

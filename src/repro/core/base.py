@@ -22,32 +22,22 @@ from ..field.base import Field
 from ..field.extraction import extract_regions, total_area
 from ..obs.metrics import REGISTRY
 from ..obs.trace import NULL_TRACER
-from ..storage import (CorruptPageError, DiskManager, FaultInjector, IOStats,
-                       MmapDiskManager, PAGE_SIZE, PageFault, RecordStore,
-                       RetryingDiskManager, RetryingMmapDiskManager,
-                       RetryPolicy, SimulatedCrash, TransientIOError,
-                       WAL_CRASH_POINTS, WriteAheadLog)
+from ..storage import (DiskManager, FaultInjector, IOStats, MmapDiskManager,
+                       PAGE_SIZE, PageFault, RecordStore, RetryPolicy,
+                       SimulatedCrash, WAL_CRASH_POINTS, WriteAheadLog)
 from .query import QueryResult, ValueQuery
 
 EstimateMode = Literal["none", "area", "regions"]
 FaultMode = Literal["raise", "skip"]
-#: Execution engine for the filtering step: ``"vectorized"`` (default)
-#: fetches candidate page runs as one batch and evaluates the interval
-#: filter as whole-array operations; ``"scalar"`` keeps the original
-#: page-at-a-time loops.  Both produce byte-identical answers and
-#: IOStats — the scalar engine is the escape hatch the equivalence
-#: tests cross-check against.
-Engine = Literal["vectorized", "scalar"]
-#: Either a named built-in backend or an explicit
-#: ``(plain disk class, retrying disk class)`` pair — the hook custom
-#: tiers (e.g. :func:`repro.storage.remote.remote_backend`) plug into.
-DiskBackend = Literal["list", "mmap"] | tuple[type, type]
+#: Either a named built-in backend or a :class:`DiskManager` subclass —
+#: the hook custom tiers (e.g. :func:`repro.storage.remote.remote_backend`)
+#: plug into.
+DiskBackend = Literal["list", "mmap"] | type[DiskManager]
+#: What a filtering step returns: the candidate records and the data-page
+#: faults it skipped (always empty in raise mode).
+Candidates = tuple[np.ndarray, list[PageFault]]
 
-#: backend name -> (plain disk class, retrying disk class)
-_DISK_BACKENDS = {
-    "list": (DiskManager, RetryingDiskManager),
-    "mmap": (MmapDiskManager, RetryingMmapDiskManager),
-}
+_DISK_BACKENDS = {"list": DiskManager, "mmap": MmapDiskManager}
 
 _QUERIES = REGISTRY.counter(
     "repro_queries_total",
@@ -80,6 +70,26 @@ _MAINT_WRITES = REGISTRY.counter(
 UPDATE_CRASH_POINTS = ("pre-wal", "wal-appended") + WAL_CRASH_POINTS
 
 
+def fault_log(on_fault: FaultMode) -> list[PageFault] | None:
+    """The list a skip-mode fetch logs its page faults into.
+
+    ``None`` in raise mode: the storage layer then propagates the first
+    typed error instead of skipping the page.
+    """
+    return [] if on_fault == "skip" else None
+
+
+def in_interval(block: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Records of ``block`` whose ``[vmin, vmax]`` intersects ``[lo, hi]``.
+
+    Compared in float64: float32 records vs. a float64 query bound would
+    otherwise round the bound to float32 (NEP 50), disagreeing with the
+    R*-tree's float64 arithmetic.
+    """
+    return block[(block["vmin"].astype(np.float64) <= hi)
+                 & (block["vmax"].astype(np.float64) >= lo)]
+
+
 class ValueIndex(abc.ABC):
     """Base class for field-value access methods.
 
@@ -96,17 +106,17 @@ class ValueIndex(abc.ABC):
     page_size:
         Page size of the simulated store (default 4 KiB, the paper's).
     retry_policy:
-        When given, every disk this index creates is a
-        :class:`~repro.storage.retry.RetryingDiskManager` using this
-        policy, so transient read faults are retried transparently.
-        ``None`` (default) creates plain disks: the first transient
-        fault propagates.
+        When given, every disk this index creates retries transient
+        read faults under this policy
+        (:class:`~repro.storage.disk.RetryPolicy`).  ``None`` (default)
+        lets the first transient fault propagate.
     disk_backend:
         Page-file implementation: ``"list"`` (default) keeps one bytes
         object per page; ``"mmap"`` backs every disk with an anonymous
         memory map and serves zero-copy :class:`memoryview` payloads
         with lazily batch-verified checksums (see
-        :class:`~repro.storage.mmapdisk.MmapDiskManager`).  Both honour
+        :class:`~repro.storage.mmapdisk.MmapDiskManager`); or any
+        :class:`~repro.storage.disk.DiskManager` subclass.  All honour
         ``retry_policy`` and behave identically under fault injection.
     """
 
@@ -117,12 +127,7 @@ class ValueIndex(abc.ABC):
                  stats: IOStats | None = None,
                  page_size: int = PAGE_SIZE,
                  retry_policy: RetryPolicy | None = None,
-                 disk_backend: DiskBackend = "list",
-                 engine: Engine = "vectorized") -> None:
-        if engine not in ("vectorized", "scalar"):
-            raise ValueError(
-                f"engine must be 'vectorized' or 'scalar', got {engine!r}")
-        self.engine = engine
+                 disk_backend: DiskBackend = "list") -> None:
         self.field = field
         self.field_type = type(field)
         self.stats = stats if stats is not None else IOStats()
@@ -140,30 +145,15 @@ class ValueIndex(abc.ABC):
         self.tracer = NULL_TRACER
         self.page_size = page_size
         self.retry_policy = retry_policy
-        if isinstance(disk_backend, str):
-            if disk_backend not in _DISK_BACKENDS:
-                raise ValueError(
-                    f"unknown disk_backend {disk_backend!r}; expected one "
-                    f"of {sorted(_DISK_BACKENDS)} or a (plain, retrying) "
-                    f"disk-class pair")
-        else:
-            try:
-                plain_cls, retrying_cls = disk_backend
-            except (TypeError, ValueError):
-                raise ValueError(
-                    f"disk_backend must be a backend name or a "
-                    f"(plain, retrying) disk-class pair, got "
-                    f"{disk_backend!r}") from None
-            for cls in (plain_cls, retrying_cls):
-                if not (isinstance(cls, type)
-                        and issubclass(cls, DiskManager)):
-                    raise ValueError(
-                        f"disk_backend classes must subclass DiskManager, "
-                        f"got {cls!r}")
-            disk_backend = (plain_cls, retrying_cls)
+        known = (isinstance(disk_backend, str)
+                 and disk_backend in _DISK_BACKENDS)
+        custom = (isinstance(disk_backend, type)
+                  and issubclass(disk_backend, DiskManager))
+        if not (known or custom):
+            raise ValueError(
+                f"disk_backend must be one of {sorted(_DISK_BACKENDS)} "
+                f"or a DiskManager subclass, got {disk_backend!r}")
         self.disk_backend = disk_backend
-        self._fault_mode: FaultMode = "raise"
-        self._query_faults: list[PageFault] = []
         self.data_disk = self._make_disk("data")
         self.store = RecordStore(self.data_disk, field.record_dtype,
                                  cache_pages=cache_pages)
@@ -171,15 +161,9 @@ class ValueIndex(abc.ABC):
     def _make_disk(self, name: str) -> DiskManager:
         """Create a page file honouring this index's backend and retry
         policy."""
-        plain_cls, retrying_cls = (
-            _DISK_BACKENDS[self.disk_backend]
-            if isinstance(self.disk_backend, str) else self.disk_backend)
-        if self.retry_policy is not None:
-            return retrying_cls(stats=self.stats, name=name,
-                                page_size=self.page_size,
-                                retry_policy=self.retry_policy)
-        return plain_cls(stats=self.stats, name=name,
-                         page_size=self.page_size)
+        cls = _DISK_BACKENDS.get(self.disk_backend, self.disk_backend)
+        return cls(stats=self.stats, name=name, page_size=self.page_size,
+                   retry_policy=self.retry_policy)
 
     def inject_faults(self, injector: FaultInjector) -> FaultInjector:
         """Attach a fault injector to every disk this index owns.
@@ -227,26 +211,22 @@ class ValueIndex(abc.ABC):
                 f"on_fault must be 'raise' or 'skip', got {on_fault!r}")
         tracer = self.tracer
         before = self.stats.snapshot()
-        self._fault_mode = on_fault
-        self._query_faults = []
-        try:
-            if tracer.enabled:
-                with tracer.span("query", {"method": self.name,
-                                           "lo": query.lo,
-                                           "hi": query.hi}) as span:
-                    candidates = self._candidates(query.lo, query.hi)
-                    with tracer.span("estimate", {"mode": estimate}):
-                        result = self._finish(query, candidates, estimate)
-                    span.attrs["candidates"] = result.candidate_count
-                    if self._query_faults:
-                        span.attrs["faults"] = len(self._query_faults)
-            else:
-                candidates = self._candidates(query.lo, query.hi)
-                result = self._finish(query, candidates, estimate)
-            result.faults = self._query_faults
-        finally:
-            self._fault_mode = "raise"
-            self._query_faults = []
+        if tracer.enabled:
+            with tracer.span("query", {"method": self.name,
+                                       "lo": query.lo,
+                                       "hi": query.hi}) as span:
+                candidates, faults = self._candidates(query.lo, query.hi,
+                                                      on_fault)
+                with tracer.span("estimate", {"mode": estimate}):
+                    result = self._finish(query, candidates, estimate)
+                span.attrs["candidates"] = result.candidate_count
+                if faults:
+                    span.attrs["faults"] = len(faults)
+        else:
+            candidates, faults = self._candidates(query.lo, query.hi,
+                                                  on_fault)
+            result = self._finish(query, candidates, estimate)
+        result.faults = faults
         result.io = self.stats.diff(before)
         if REGISTRY.enabled:
             _QUERIES.inc(1, method=self.name)
@@ -257,61 +237,37 @@ class ValueIndex(abc.ABC):
                 _QUERY_DEGRADED.inc(1, method=self.name)
         return result
 
-    def _read_data_page(self, page_no: int) -> np.ndarray | None:
-        """Read one store page, honouring the query's fault mode.
+    def _scan(self, lo: float, hi: float,
+              faults: list[PageFault] | None) -> np.ndarray:
+        """Whole-store fetch + one array-wide interval filter.
 
-        In ``on_fault="skip"`` mode an unreadable *data* page is
-        recorded as a :class:`~repro.storage.faults.PageFault` and
-        ``None`` is returned so the caller drops just that page; in the
-        default mode the typed error propagates unchanged.
+        Reads the store front to back as a single batch (one seek,
+        then sequential reads) and evaluates the interval mask over
+        every cell at once — LinearScan's whole access path, and the
+        scan plan of the cost-based planner.
         """
-        try:
-            return self.store.read_page(page_no)
-        except (CorruptPageError, TransientIOError) as exc:
-            if self._fault_mode != "skip":
-                raise
-            self.store.pool.invalidate(self.store.page_ids[page_no])
-            self._query_faults.append(PageFault(
-                disk=exc.disk, page_id=exc.page_id,
-                kind=type(exc).__name__, detail=str(exc)))
-            return None
+        block = self.store.read_pages(0, self.store.num_pages - 1, faults)
+        return in_interval(block, lo, hi)
 
-    def _vector_fetch_ok(self) -> bool:
-        """True when the batched fetch path may be used for this query.
+    def _gather_rids(self, rids, faults: list[PageFault] | None
+                     ) -> np.ndarray:
+        """Fetch the records of scattered record ids, in rid order.
 
-        Requires the vectorized engine and a clean fault regime: with a
-        fault injector attached the disk must observe every page access
-        individually (injection schedules are per-read), and in
-        ``on_fault="skip"`` mode faults must be attributable to single
-        pages — both are what the per-page scalar loop provides.
+        A realistic executor sorts the rid list so page fetches are
+        deduplicated and as sequential as the clustering permits: the
+        distinct pages are fetched as one ascending batch, then the
+        slots are gathered in one pass.  Records on pages skipped in
+        skip mode are left out.
         """
-        return (self.engine == "vectorized"
-                and self._fault_mode == "raise"
-                and self.data_disk.fault_injector is None)
-
-    def _read_data_run(self, first_page: int,
-                       last_page: int) -> np.ndarray | None:
-        """Fetch a contiguous store page run as one decoded array.
-
-        On the clean path this is one :meth:`RecordStore.read_pages`
-        batch (accounting identical to a serial page loop); when a
-        fault injector is attached or the query runs in skip mode it
-        degrades to per-page :meth:`_read_data_page` calls so fault
-        semantics are untouched.  Returns ``None`` when every page of
-        the run was skipped.
-        """
-        if self._vector_fetch_ok():
-            return self.store.read_pages(first_page, last_page)
-        parts = []
-        for page_no in range(first_page, last_page + 1):
-            page = self._read_data_page(page_no)
-            if page is not None:
-                parts.append(page)
-        if not parts:
-            return None
-        if len(parts) == 1:
-            return parts[0]
-        return np.concatenate(parts)
+        rids = np.sort(np.asarray(rids, dtype=np.int64))
+        per_page = self.store.records_per_page
+        pages = rids // per_page
+        slots = rids - pages * per_page
+        records, upages, offsets = self.store.read_page_set(pages, faults)
+        if faults:
+            kept = np.isin(pages, upages)
+            pages, slots = pages[kept], slots[kept]
+        return records[offsets[np.searchsorted(upages, pages)] + slots]
 
     def _finish(self, query: ValueQuery, candidates: np.ndarray,
                 estimate: EstimateMode) -> QueryResult:
@@ -486,14 +442,12 @@ class ValueIndex(abc.ABC):
             result = FieldStatistics.from_field(self.field, bins=bins)
         else:
             before = self.stats.snapshot()
-            vmins, vmaxs = [], []
-            for page in self.store.scan():
-                vmins.append(page["vmin"].astype(np.float64))
-                vmaxs.append(page["vmax"].astype(np.float64))
+            block = self.store.read_pages(0, self.store.num_pages - 1)
             self.stats.restore(before)
             self.clear_caches()
             result = FieldStatistics.from_intervals(
-                np.concatenate(vmins), np.concatenate(vmaxs), bins=bins)
+                block["vmin"].astype(np.float64),
+                block["vmax"].astype(np.float64), bins=bins)
         self._stat_cache[bins] = result
         return result
 
@@ -538,5 +492,12 @@ class ValueIndex(abc.ABC):
     # -- to implement ---------------------------------------------------------
 
     @abc.abstractmethod
-    def _candidates(self, lo: float, hi: float) -> np.ndarray:
-        """Records of every cell whose value interval intersects [lo, hi]."""
+    def _candidates(self, lo: float, hi: float,
+                    on_fault: FaultMode = "raise") -> Candidates:
+        """Records of every cell whose value interval intersects [lo, hi].
+
+        Returns ``(records, faults)``: with ``on_fault="skip"`` the
+        records of unreadable data pages are left out and their faults
+        listed; in raise mode the first typed error propagates and the
+        fault list is empty.
+        """

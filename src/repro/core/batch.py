@@ -233,14 +233,8 @@ class BatchQueryEngine:
         """One filtering pass over the group's union interval."""
         tracer = self.index.tracer
         before = self.index.stats.snapshot()
-        self.index._fault_mode = on_fault
-        self.index._query_faults = []
-        try:
-            candidates = self.index._candidates(group.lo, group.hi)
-            group_faults = self.index._query_faults
-        finally:
-            self.index._fault_mode = "raise"
-            self.index._query_faults = []
+        candidates, group_faults = self.index._candidates(
+            group.lo, group.hi, on_fault)
         fetch_io = self.index.stats.diff(before)
         # Candidate records of a member query are exactly the union
         # candidates intersecting its own interval: the same predicate

@@ -1,4 +1,4 @@
-"""Engine facade: the one API every front end drives the engine through.
+"""The engine facade: one API every front end drives the engine through.
 
 The CLI, the bench harness, and the serve layer all need the same five
 verbs — open a field, query it, run a batch, apply updates, snapshot it
@@ -192,7 +192,7 @@ class EngineFacade:
         ``source`` must be an in-memory :class:`~repro.field.base.Field`
         or a field file (``.npy`` heights / ``.npz`` TIN) — saved index
         directories are already built.  Extra keyword arguments pass to
-        the index constructor (``curve``, ``engine``, ...).  Returns the
+        the index constructor (``curve``, ``disk_backend``, ...).  Returns the
         field description extended with the bulk-load timing report
         under ``"bulk"`` (see :class:`~repro.core.bulkload
         .BulkLoadReport`).

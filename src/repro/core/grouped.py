@@ -15,7 +15,8 @@ from ..geometry import Rect
 from ..obs.metrics import REGISTRY
 from ..rstar import RStarTree
 from ..storage import IOStats, PAGE_SIZE, RetryPolicy
-from .base import DiskBackend, Engine, ValueIndex
+from .base import (Candidates, DiskBackend, FaultMode, ValueIndex,
+                   fault_log, in_interval)
 from .cost import CostBasedGrouping, GroupingPolicy, group_cells
 from .subfield import Subfield
 
@@ -58,11 +59,10 @@ class GroupedIntervalIndex(ValueIndex):
                  retry_policy: RetryPolicy | None = None,
                  disk_backend: DiskBackend = "list",
                  grouping: GroupingPolicy | None = None,
-                 engine: Engine = "vectorized",
                  bulk: bool = False) -> None:
         super().__init__(field, cache_pages=cache_pages, stats=stats,
                          page_size=page_size, retry_policy=retry_policy,
-                         disk_backend=disk_backend, engine=engine)
+                         disk_backend=disk_backend)
         order = np.asarray(order, dtype=np.int64)
         records = field.cell_records()
         if len(order) != len(records):
@@ -219,10 +219,9 @@ class GroupedIntervalIndex(ValueIndex):
             return
         unit, _ = self._cost_params()
         with self._maintenance():
-            sizes = np.concatenate([
-                page["vmax"].astype(np.float64)
-                - page["vmin"].astype(np.float64) + unit
-                for page in self.store.scan()])
+            block = self.store.read_pages(0, self.store.num_pages - 1)
+        sizes = (block["vmax"].astype(np.float64)
+                 - block["vmin"].astype(np.float64) + unit)
         self._sf_si = [float(sizes[sf.ptr_start:sf.ptr_end + 1].sum())
                        for sf in self.subfields]
         if getattr(self, "_built_costs", None) is None:
@@ -399,15 +398,17 @@ class GroupedIntervalIndex(ValueIndex):
 
     # -- the two-step query (paper §3.2) --------------------------------------
 
-    def _candidates(self, lo: float, hi: float) -> np.ndarray:
+    def _candidates(self, lo: float, hi: float,
+                    on_fault: FaultMode = "raise") -> Candidates:
         tracer = self.tracer
+        faults = fault_log(on_fault)
         # Step 1 (filtering): subfields whose interval intersects the query.
         with tracer.span("filter") as span:
             sf_ids = self.tree.search(Rect.from_interval(lo, hi))
             if span.enabled:
                 span.attrs["subfields"] = len(sf_ids)
         if len(sf_ids) == 0:
-            return np.empty(0, dtype=self.store.dtype)
+            return np.empty(0, dtype=self.store.dtype), []
         # Step 2 (estimation input): fetch the clustered cell ranges.
         # Selected subfields that sit on overlapping or adjacent pages are
         # coalesced into one sequential burst, so each page is read once —
@@ -424,36 +425,14 @@ class GroupedIntervalIndex(ValueIndex):
             else:
                 runs.append([first, last])
         with tracer.span("fetch") as span:
-            chunks = []
-            if self.engine == "vectorized":
-                # One batched fetch + one array-wide interval mask per
-                # coalesced run — identical reads and output order to
-                # the per-page loop below.
-                for first, last in runs:
-                    block = self._read_data_run(first, last)
-                    if block is None:
-                        continue
-                    mask = ((block["vmin"].astype(np.float64) <= hi)
-                            & (block["vmax"].astype(np.float64) >= lo))
-                    if mask.any():
-                        chunks.append(block[mask])
-            else:
-                for first, last in runs:
-                    for page_no in range(first, last + 1):
-                        block = self._read_data_page(page_no)
-                        if block is None:
-                            continue
-                        mask = ((block["vmin"].astype(np.float64) <= hi)
-                                & (block["vmax"].astype(np.float64) >= lo))
-                        if mask.any():
-                            chunks.append(block[mask])
+            # One batched fetch + one array-wide interval mask per run.
+            chunks = [in_interval(self.store.read_pages(first, last, faults),
+                                  lo, hi)
+                      for first, last in runs]
             if span.enabled:
                 span.attrs["runs"] = len(runs)
-        if not chunks:
-            return np.empty(0, dtype=self.store.dtype)
-        if len(chunks) == 1:
-            return chunks[0]
-        return np.concatenate(chunks)
+        records = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+        return records, faults or []
 
     # -- helpers ---------------------------------------------------------------
 

@@ -22,7 +22,7 @@ from ..curves import (
 )
 from ..field.base import Field
 from ..storage import IOStats, PAGE_SIZE, RetryPolicy
-from .base import DiskBackend, Engine
+from .base import DiskBackend
 from .cost import CostBasedGrouping, GroupingPolicy, group_cells
 from .grouped import GroupedIntervalIndex
 
@@ -94,7 +94,6 @@ class IHilbertIndex(GroupedIntervalIndex):
                  page_size: int = PAGE_SIZE,
                  retry_policy: RetryPolicy | None = None,
                  disk_backend: DiskBackend = "list",
-                 engine: Engine = "vectorized",
                  bulk: bool = False) -> None:
         if isinstance(curve, str):
             dim = field.cell_centroids().shape[1]
@@ -117,7 +116,7 @@ class IHilbertIndex(GroupedIntervalIndex):
                          stats=stats, page_size=page_size,
                          retry_policy=retry_policy,
                          disk_backend=disk_backend, grouping=grouping,
-                         engine=engine, bulk=bulk)
+                         bulk=bulk)
 
     def describe(self) -> dict:
         info = super().describe()

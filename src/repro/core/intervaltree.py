@@ -19,7 +19,7 @@ import numpy as np
 
 from ..field.base import Field
 from ..storage import IOStats
-from .base import ValueIndex
+from .base import Candidates, FaultMode, ValueIndex, fault_log
 
 
 class IntervalTreeNode:
@@ -135,21 +135,10 @@ class ITreeIndex(ValueIndex):
         info["memory_resident"] = True
         return info
 
-    def _candidates(self, lo: float, hi: float) -> np.ndarray:
+    def _candidates(self, lo: float, hi: float,
+                    on_fault: FaultMode = "raise") -> Candidates:
         rids = query_interval_tree(self.root, lo, hi)
         if not rids:
-            return np.empty(0, dtype=self.store.dtype)
-        rids_arr = np.sort(np.asarray(rids, dtype=np.int64))
-        per_page = self.store.records_per_page
-        pages = rids_arr // per_page
-        slots = rids_arr - pages * per_page
-        chunks = []
-        start = 0
-        for end in range(1, len(pages) + 1):
-            if end == len(pages) or pages[end] != pages[start]:
-                page_records = self.store.read_page(int(pages[start]))
-                chunks.append(page_records[slots[start:end]])
-                start = end
-        if len(chunks) == 1:
-            return chunks[0]
-        return np.concatenate(chunks)
+            return np.empty(0, dtype=self.store.dtype), []
+        faults = fault_log(on_fault)
+        return self._gather_rids(rids, faults), faults or []

@@ -12,7 +12,8 @@ import numpy as np
 
 from ..field.base import Field
 from ..storage import IOStats, PAGE_SIZE, RetryPolicy
-from .base import DiskBackend, Engine, ValueIndex
+from .base import (Candidates, DiskBackend, FaultMode, ValueIndex,
+                   fault_log)
 
 
 class LinearScanIndex(ValueIndex):
@@ -24,11 +25,10 @@ class LinearScanIndex(ValueIndex):
                  stats: IOStats | None = None,
                  page_size: int = PAGE_SIZE,
                  retry_policy: RetryPolicy | None = None,
-                 disk_backend: DiskBackend = "list",
-                 engine: Engine = "vectorized") -> None:
+                 disk_backend: DiskBackend = "list") -> None:
         super().__init__(field, cache_pages=cache_pages, stats=stats,
                          page_size=page_size, retry_policy=retry_policy,
-                         disk_backend=disk_backend, engine=engine)
+                         disk_backend=disk_backend)
         self.store.extend(field.cell_records())
 
     def _apply_cell_updates(self, cell_ids: np.ndarray,
@@ -39,43 +39,10 @@ class LinearScanIndex(ValueIndex):
         for cell_id, record in zip(cell_ids, records):
             self.store.update(int(cell_id), record)
 
-    def _candidates(self, lo: float, hi: float) -> np.ndarray:
+    def _candidates(self, lo: float, hi: float,
+                    on_fault: FaultMode = "raise") -> Candidates:
+        faults = fault_log(on_fault)
         with self.tracer.span("fetch") as span:
             if span.enabled:
                 span.attrs["path"] = "scan"
-            if self.engine == "vectorized":
-                return self._candidates_vectorized(lo, hi)
-            matches = []
-            for page_no in range(self.store.num_pages):
-                page = self._read_data_page(page_no)
-                if page is None:
-                    continue
-                # Compare in float64: float32 records vs. a float64 query
-                # bound would otherwise round the bound to float32 (NEP 50),
-                # disagreeing with the R*-tree's float64 arithmetic.
-                mask = ((page["vmin"].astype(np.float64) <= hi)
-                        & (page["vmax"].astype(np.float64) >= lo))
-                if mask.any():
-                    matches.append(page[mask])
-        if not matches:
-            return np.empty(0, dtype=self.store.dtype)
-        if len(matches) == 1:
-            return matches[0]
-        return np.concatenate(matches)
-
-    def _candidates_vectorized(self, lo: float, hi: float) -> np.ndarray:
-        """Whole-scan fetch + one array-wide interval filter.
-
-        Reads the store front to back as a single run and evaluates the
-        float64 interval mask over every cell at once — the same
-        comparisons, reads, and output order as the page-at-a-time
-        loop, minus the per-page interpreter overhead.
-        """
-        if not self.store.num_pages:
-            return np.empty(0, dtype=self.store.dtype)
-        block = self._read_data_run(0, self.store.num_pages - 1)
-        if block is None:
-            return np.empty(0, dtype=self.store.dtype)
-        mask = ((block["vmin"].astype(np.float64) <= hi)
-                & (block["vmax"].astype(np.float64) >= lo))
-        return block[mask]
+            return self._scan(lo, hi, faults), faults or []

@@ -67,7 +67,7 @@ def union_query(index: ValueIndex, bands: list[tuple[float, float]],
     per_band: list[int] = []
     area: float | None = 0.0 if estimate == "area" else None
     for lo, hi in normalized:
-        records = index._candidates(lo, hi)
+        records, _ = index._candidates(lo, hi)
         per_band.append(int(len(records)))
         seen.update(int(c) for c in records["cell_id"])
         if estimate == "area":

@@ -56,7 +56,7 @@ def conjunctive_query(indexes: list[ValueIndex],
     queries = [ValueQuery(lo, hi) for lo, hi in bands]
     candidate_sets: list[dict[int, np.void]] = []
     for idx, q in zip(indexes, queries):
-        records = idx._candidates(q.lo, q.hi)
+        records, _ = idx._candidates(q.lo, q.hi)
         candidate_sets.append(
             {int(r["cell_id"]): r for r in records})
 

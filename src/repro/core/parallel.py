@@ -28,10 +28,10 @@ that:
 * **Static group ownership.**  Worker ``w`` owns groups ``g ≡ w (mod
   workers)``, so per-worker I/O totals are a pure function of the
   workload, not of scheduling.
-* **Shared-state discipline.**  The index's ``_fault_mode`` /
-  ``_query_faults`` / ``tracer`` attributes are only touched while a
-  ticket is held; estimation works on candidate-array copies owned by
-  the worker; :meth:`~repro.core.base.ValueIndex._finish` is pure CPU.
+* **Shared-state discipline.**  The index's ``tracer`` attribute is
+  only touched while a ticket is held; estimation works on
+  candidate-array copies owned by the worker;
+  :meth:`~repro.core.base.ValueIndex._finish` is pure CPU.
 
 With a tracer installed, each worker records its own span tree
 (``worker[w] → group[g] → filter/fetch/estimate``) and the trees are
@@ -335,17 +335,13 @@ class ParallelQueryEngine:
         # which aborts every waiter (keeping the first, lowest-ticket
         # error — the one the serial engine would have raised).
         before = index.stats.snapshot()
-        index._fault_mode = on_fault
-        index._query_faults = []
         if wt is not None:
             index.tracer = wt
         try:
-            candidates = index._candidates(group.lo, group.hi)
-            group_faults = index._query_faults
+            candidates, group_faults = index._candidates(
+                group.lo, group.hi, on_fault)
         finally:
             index.tracer = NULL_TRACER
-            index._fault_mode = "raise"
-            index._query_faults = []
         fetch_io = index.stats.diff(before)
         tickets.release(gi)
         # Everything below runs concurrently across workers: the

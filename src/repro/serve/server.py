@@ -175,10 +175,10 @@ class _RequestContext:
         #: Event-loop-side tracer: request/decode/admission/engine/
         #: encode spans (never touched by executor threads).
         self.tracer = Tracer() if sampled else None
-        #: Engine-side tracer the facade installs on the index for the
-        #: duration of the call; its roots are grafted under the
-        #: ``engine`` span only when the call completed (a timed-out
-        #: straggler may still be writing into it).
+        #: Tracer of the engine side, which the facade installs on the
+        #: index for the duration of the call; its roots are grafted
+        #: under the ``engine`` span only when the call completed (a
+        #: timed-out straggler may still be writing into it).
         self.engine = Tracer() if sampled else None
         self.root: Span | None = None
         self.admission_wait_ms: float | None = None

@@ -42,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..core.base import FaultMode, PAGE_SIZE, ValueIndex
+from ..core.base import Candidates, FaultMode, PAGE_SIZE, ValueIndex
 from ..core.cost import CostBasedGrouping, group_cells
 from ..core.facade import EngineFacade
 from ..core.grouped import GroupedIntervalIndex
@@ -425,7 +425,7 @@ class ShardedEngine(ValueIndex):
         Deliberately no ``super().__init__``: the coordinator owns no
         disk of its own — its ``store`` is an aggregate over the
         shards — but everything the query pipeline, batch engines, and
-        facade touch (stats, tracer, fault mode, store/pool shims) is
+        facade touch (stats, tracer, store/pool shims) is
         provided here.
         """
         self.field = field
@@ -444,8 +444,6 @@ class ShardedEngine(ValueIndex):
         self.cache_pages = cache_pages
         self.remote_store = remote_store
         self.remote_cache_pages = remote_cache_pages
-        self._fault_mode: FaultMode = "raise"
-        self._query_faults = []
         self.shards = []
         self.store = _AggregateStore(self)
         self._gather_lock = threading.RLock()
@@ -511,57 +509,54 @@ class ShardedEngine(ValueIndex):
 
     # -- the scatter-gather filtering step -----------------------------------
 
-    def _candidates(self, lo: float, hi: float) -> np.ndarray:
+    def _candidates(self, lo: float, hi: float,
+                    on_fault: FaultMode = "raise") -> Candidates:
         with self._gather_lock:
             per_shard = []
+            faults = []
             if self._workers is not None:
                 chunks, deltas, faults = self._workers.fetch(
-                    lo, hi, self._fault_mode)
+                    lo, hi, on_fault)
                 for delta in deltas:
                     self.stats += delta
                     per_shard.append(delta)
-                self._query_faults.extend(faults)
             else:
                 chunks = []
                 with self.tracer.span("scatter",
                                       {"shards": len(self.shards)}):
                     for rt in self.shards:
-                        chunks.append(
-                            self._fetch_one(rt, lo, hi, per_shard))
+                        records, shard_faults = self._fetch_one(
+                            rt, lo, hi, on_fault, per_shard)
+                        chunks.append(records)
+                        faults.extend(shard_faults)
             self.last_shard_io = per_shard
         merged = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-        if self.method == "I-Hilbert" or len(merged) < 2:
-            # Shard concatenation already reproduces the clustered
-            # (global Hilbert) candidate order.
-            return merged
-        # Cell-ordered methods emit ascending cell id when unsharded.
-        return merged[np.argsort(merged["cell_id"], kind="stable")]
+        if self.method != "I-Hilbert" and len(merged) > 1:
+            # Cell-ordered methods emit ascending cell id when unsharded;
+            # for I-Hilbert shard concatenation already reproduces the
+            # clustered (global Hilbert) candidate order.
+            merged = merged[np.argsort(merged["cell_id"], kind="stable")]
+        return merged, faults
 
     def _fetch_one(self, rt: ShardRuntime, lo: float, hi: float,
-                   per_shard: list) -> np.ndarray:
+                   on_fault: FaultMode, per_shard: list) -> Candidates:
         """One shard's filtering step, bracketed like a batch group.
 
         The shard's own IOStats delta is folded into the coordinator's
-        counters and its per-page faults into the coordinator's query
-        fault list; a skip-mode shard degrades alone, it never poisons
-        the gather.  The fold runs in a ``finally`` so the global
-        counters stay truthful even when a raise-mode fault aborts
-        the scatter midway.
+        counters; a skip-mode shard degrades alone (its faults join the
+        gather's list), it never poisons the gather.  The fold runs in
+        a ``finally`` so the global counters stay truthful even when a
+        raise-mode fault aborts the scatter midway.
         """
         index = rt.index
-        index._fault_mode = self._fault_mode
-        index._query_faults = []
         index.tracer = self.tracer   # shard spans nest under the gather
         before = index.stats.snapshot()
         try:
-            return index._candidates(lo, hi)
+            return index._candidates(lo, hi, on_fault)
         finally:
             delta = index.stats.diff(before)
             self.stats += delta
             per_shard.append(delta)
-            self._query_faults.extend(index._query_faults)
-            index._fault_mode = "raise"
-            index._query_faults = []
             index.tracer = NULL_TRACER
 
     # -- process transport ---------------------------------------------------

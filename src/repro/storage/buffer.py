@@ -141,8 +141,13 @@ class BufferPool:
                 tenant = self._current_tenant
             return self._read_locked(page_id, tenant)
 
-    def _read_locked(self, page_id: int, tenant: str | None) -> bytes:
-        """One hit-or-miss access; the caller holds the lock."""
+    def _read_locked(self, page_id: int, tenant: str | None,
+                     faults: list | None = None) -> bytes | None:
+        """One hit-or-miss access; the caller holds the lock.
+
+        Returns ``None`` for a page the disk skipped (skip mode, see
+        :meth:`read_many`).
+        """
         if page_id in self._frames:
             self._frames.move_to_end(page_id)
             self.hits += 1
@@ -156,79 +161,103 @@ class BufferPool:
         self.misses += 1
         if REGISTRY.enabled:
             _POOL_READS.inc(1, disk=self.disk.name, event="miss")
-        data = self.disk.read(page_id)
+        fetched = self.disk.read_many((page_id,), faults)
+        if not fetched:
+            return None
+        data = fetched[0]
         self._admit(page_id, data)
         if tenant is not None:
             self._attribute(tenant, page_id, len(data), hit=False)
         return data
 
-    def read_many(self, page_ids, tenant: str | None = None) -> list:
+    def read_many(self, page_ids, tenant: str | None = None,
+                  faults: list | None = None) -> list:
         """Read a batch of pages with serial-identical accounting.
 
-        Hits, misses, eviction counts, tenant attribution, and the
-        backing disk's ``IOStats`` come out exactly as a loop of
-        :meth:`read` calls would — the batch only saves per-page lock
-        round-trips and lets the disk account misses in bulk
-        (:meth:`DiskManager.read_many`).  Batched miss prefetching is
-        only safe when admission cannot evict (an eviction mid-batch
-        could turn an expected hit stale), so it engages when the pool
-        is capacity-0 (every access misses, nothing is admitted) or
-        when all missing pages fit without eviction; otherwise the
-        batch degrades to exact per-page accesses under one lock.
+        Hits, misses, evictions, tenant attribution, and the backing
+        disk's ``IOStats`` come out exactly as a loop of :meth:`read`
+        calls would.  Which accesses miss depends only on the id
+        sequence and the resident frames, so the misses are worked out
+        up front (:meth:`_miss_sequence`) and streamed through one
+        batched disk read (:meth:`DiskManager.reads`), consumed in
+        access order so an aborted batch stops exactly where the
+        serial loop would.
+
+        ``faults`` selects skip mode as in
+        :meth:`DiskManager.read_many`: an unreadable page is logged
+        there, counted as a miss, never admitted, and left out of the
+        result, which holds only the pages that survived.
         """
         page_ids = list(page_ids)
         with self._lock:
             if tenant is None:
                 tenant = self._current_tenant
             frames = self._frames
-            if self.capacity == 0 and not frames:
-                # Admission-free: every access is a miss straight to disk.
-                self.misses += len(page_ids)
-                if REGISTRY.enabled and page_ids:
-                    _POOL_READS.inc(len(page_ids), disk=self.disk.name,
-                                    event="miss")
-                payloads = self.disk.read_many(page_ids)
-                if tenant is not None:
-                    for pid, data in zip(page_ids, payloads):
-                        self._attribute(tenant, pid, len(data), hit=False)
-                return payloads
-            missing: list[int] = []
-            seen: set[int] = set()
-            for pid in page_ids:
-                if pid not in frames and pid not in seen:
-                    missing.append(pid)
-                    seen.add(pid)
-            if len(frames) + len(missing) > self.capacity:
-                # Eviction possible mid-batch: classify one at a time.
-                return [self._read_locked(pid, tenant) for pid in page_ids]
-            fetched = dict(zip(missing, self.disk.read_many(missing))) \
-                if missing else {}
             hits = misses = 0
             out: list = []
-            for pid in page_ids:
-                data = frames.get(pid)
-                if data is not None:
-                    frames.move_to_end(pid)
-                    hits += 1
+            reads = self.disk.reads(self._miss_sequence(page_ids), faults)
+            try:
+                for i, pid in enumerate(page_ids):
+                    data = frames.get(pid)
+                    hit = data is not None
+                    if hit:
+                        frames.move_to_end(pid)
+                        hits += 1
+                    else:
+                        misses += 1
+                        data = next(reads)
+                        if data is None:
+                            # A skipped page is not admitted, so the
+                            # worked-out misses no longer hold: finish
+                            # one exact access at a time.
+                            reads.close()
+                            rest = [self._read_locked(p, tenant, faults)
+                                    for p in page_ids[i + 1:]]
+                            out += [d for d in rest if d is not None]
+                            break
+                        self._admit(pid, data)
                     if tenant is not None:
-                        self._attribute(tenant, pid, len(data), hit=True)
-                else:
-                    data = fetched[pid]
-                    misses += 1
-                    self._admit(pid, data)
-                    if tenant is not None:
-                        self._attribute(tenant, pid, len(data), hit=False)
-                out.append(data)
-            self.hits += hits
-            self.misses += misses
-            self.disk.stats.cache_hits += hits
-            if REGISTRY.enabled:
-                if hits:
-                    _POOL_READS.inc(hits, disk=self.disk.name, event="hit")
-                if misses:
-                    _POOL_READS.inc(misses, disk=self.disk.name,
-                                    event="miss")
+                        self._attribute(tenant, pid, len(data), hit=hit)
+                    out.append(data)
+            finally:
+                reads.close()
+                self.hits += hits
+                self.misses += misses
+                self.disk.stats.cache_hits += hits
+                if REGISTRY.enabled:
+                    if hits:
+                        _POOL_READS.inc(hits, disk=self.disk.name,
+                                        event="hit")
+                    if misses:
+                        _POOL_READS.inc(misses, disk=self.disk.name,
+                                        event="miss")
             return out
+
+    def _miss_sequence(self, page_ids: list) -> list:
+        """Disk reads a serial :meth:`read` loop over ``page_ids`` makes.
+
+        Assumes every read succeeds (each miss is admitted).  The
+        caller holds the lock.  Without evictions or repeats the misses
+        are just the non-resident ids; otherwise the LRU is replayed on
+        the page ids alone.
+        """
+        frames = self._frames
+        missing = [pid for pid in page_ids if pid not in frames]
+        if not self.capacity or (
+                len(frames) + len(missing) <= self.capacity
+                and len(set(missing)) == len(missing)):
+            return missing
+        lru = OrderedDict.fromkeys(frames)
+        sequence = []
+        for pid in page_ids:
+            if pid in lru:
+                lru.move_to_end(pid)
+                continue
+            sequence.append(pid)
+            lru[pid] = None
+            if len(lru) > self.capacity:
+                lru.popitem(last=False)
+        return sequence
 
     def write(self, page_id: int, data: bytes) -> None:
         """Write through to disk and refresh the cached copy."""

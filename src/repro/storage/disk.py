@@ -22,14 +22,26 @@ Failure injection hooks into the same object: attach a
 and reads/writes start failing on the injector's deterministic
 schedule.  With no injector attached the only hot-path overhead is the
 checksum verification itself.
+
+Fault handling lives here too, in the one batched read
+(:meth:`DiskManager.read_many`): *transient* faults (a timed-out
+request — retry it) are retried under the disk's :class:`RetryPolicy`,
+*permanent* ones (a page whose checksum fails — retrying re-reads the
+same rotten bytes) never are, and in skip mode an unreadable page is
+logged as a :class:`~repro.storage.faults.PageFault` and left out while
+the batch reads on.  Every retry is accounted — as an extra page read
+in :class:`~repro.storage.stats.IOStats` (``read_retries``), as a
+``repro_disk_read_retries_total`` metric, and as simulated backoff time
+in :attr:`DiskManager.simulated_backoff_ms`.
 """
 
 from __future__ import annotations
 
 import struct
+from dataclasses import dataclass
 
 from ..obs.metrics import REGISTRY
-from .faults import CorruptPageError, PageError, TransientIOError
+from .faults import CorruptPageError, PageError, PageFault, TransientIOError
 from .stats import IOStats
 
 try:                                    # pragma: no cover - optional wheel
@@ -73,6 +85,35 @@ _CORRUPT = REGISTRY.counter(
 _INJECTED = REGISTRY.counter(
     "repro_disk_injected_faults_total",
     "Faults fired by an attached FaultInjector, per file and kind.")
+_RETRIES = REGISTRY.counter(
+    "repro_disk_read_retries_total",
+    "Read attempts repeated after a transient fault, per simulated file.")
+_EXHAUSTED = REGISTRY.counter(
+    "repro_disk_retries_exhausted_total",
+    "Reads abandoned after max_attempts transient faults, per file.")
+
+
+@dataclass(frozen=True)
+class RetryPolicy:
+    """How many times to retry a transient read fault, and how fast.
+
+    ``backoff_ms(attempt)`` grows exponentially:
+    ``backoff_base_ms * backoff_factor ** (attempt - 1)`` for the
+    attempt-th retry (1-based).
+    """
+
+    max_attempts: int = 4
+    backoff_base_ms: float = 1.0
+    backoff_factor: float = 2.0
+
+    def __post_init__(self) -> None:
+        if self.max_attempts < 1:
+            raise ValueError(
+                f"max_attempts must be >= 1, got {self.max_attempts}")
+
+    def backoff_ms(self, attempt: int) -> float:
+        """Simulated delay before the ``attempt``-th retry (1-based)."""
+        return self.backoff_base_ms * self.backoff_factor ** (attempt - 1)
 
 
 class DiskManager:
@@ -89,6 +130,11 @@ class DiskManager:
         Page capacity in bytes; defaults to :data:`PAGE_SIZE`.  Must
         exceed :data:`PAGE_HEADER_SIZE`; payloads may use at most
         :attr:`usable_page_size` bytes.
+    retry_policy:
+        When given, a :class:`~repro.storage.faults.TransientIOError`
+        is retried up to ``max_attempts`` times with simulated
+        exponential backoff before it surfaces; ``None`` (default)
+        surfaces the first transient fault.
     """
 
     #: Forward gaps up to this many pages count as streaming past (the
@@ -97,7 +143,8 @@ class DiskManager:
 
     def __init__(self, stats: IOStats | None = None, name: str = "disk",
                  page_size: int = PAGE_SIZE,
-                 near_window: int | None = None) -> None:
+                 near_window: int | None = None,
+                 retry_policy: RetryPolicy | None = None) -> None:
         if page_size <= PAGE_HEADER_SIZE:
             raise PageError(
                 f"page size {page_size} leaves no payload room after the "
@@ -110,6 +157,9 @@ class DiskManager:
         #: Optional :class:`~repro.storage.faults.FaultInjector`; when
         #: None (default) reads and writes never fail on purpose.
         self.fault_injector = None
+        self.retry_policy = retry_policy
+        #: Total simulated backoff delay spent on retries.
+        self.simulated_backoff_ms = 0.0
         self._last_read: int | None = None
         self._zero_payload = bytes(self.usable_page_size)
         self._zero_crc = page_checksum(self._zero_payload)
@@ -166,69 +216,93 @@ class DiskManager:
         every read; a mismatch raises :class:`CorruptPageError` (the
         read is still accounted — a failed transfer moved the head).
         With a fault injector attached, the injector may raise
-        :class:`TransientIOError` or damage the page first.
+        :class:`TransientIOError` or damage the page first; transient
+        faults are retried under :attr:`retry_policy`.
         """
-        self._check(page_id)
-        self.stats.page_reads += 1
-        gap = (page_id - self._last_read - 1
-               if self._last_read is not None else -1)
-        if 0 <= gap <= self.near_window:
-            # Short forward hop: the head streams over the gap.
-            self.stats.sequential_reads += 1
-            self.stats.skipped_pages += gap
-            if REGISTRY.enabled:
-                _READS.inc(1, disk=self.name, kind="sequential")
-                if gap:
-                    _SKIPPED.inc(gap, disk=self.name)
-        else:
-            self.stats.random_reads += 1
-            if REGISTRY.enabled:
-                _READS.inc(1, disk=self.name, kind="random")
-        self._last_read = page_id
-        if self.fault_injector is not None:
-            self._injected_read(page_id)
-        return self._verified_payload(page_id)
+        return self.read_many((page_id,))[0]
 
-    def read_many(self, page_ids) -> list:
+    def read_many(self, page_ids, faults: list | None = None) -> list:
         """Read several pages, accounted identically to serial :meth:`read`.
 
-        The per-page sequential/random classification walks the same
-        last-read head position as a loop of ``read()`` calls would, so
-        ``IOStats`` comes out byte-identical; the savings are the Python
-        attribute lookups and counter updates, applied once per batch
-        instead of once per page.  Counter application happens in a
-        ``finally`` block covering every page whose transfer was
-        *attempted* — a checksum failure mid-batch leaves the stats
-        exactly as the serial loop would (the failed read is accounted,
-        later pages are not).  With a fault injector attached the batch
-        degrades to serial reads so injection schedules (and any
-        retrying subclass's ``read``) observe every access.
+        A :class:`TransientIOError` is retried under
+        :attr:`retry_policy` (each retry is one more accounted read);
+        a :class:`CorruptPageError` never is.  With ``faults=None`` the
+        first unrecovered fault propagates.  Given a list, the batch
+        runs in skip mode instead: each unreadable page is appended to
+        it as a :class:`~repro.storage.faults.PageFault` and left out,
+        and reading goes on with the next page — the result holds only
+        the pages that survived, in order.
         """
-        if self.fault_injector is not None:
-            return [self.read(pid) for pid in page_ids]
+        return [data for data in self.reads(page_ids, faults)
+                if data is not None]
+
+    def reads(self, page_ids, faults: list | None = None):
+        """Yield the payload of each page in turn (the batched read loop).
+
+        Every page id is visited in order: its sequential/random class
+        is judged from the same last-read head position a loop of
+        :meth:`read` calls would see, an attached fault injector is
+        consulted for it, and its checksum is verified — so
+        ``IOStats`` and injection schedules come out exactly as the
+        serial loop's.  A page skipped in skip mode (see
+        :meth:`read_many`) yields ``None``.  Counters are applied once,
+        when the generator finishes, fails or is closed, and cover
+        every page whose transfer was attempted — a consumer that
+        stops early (an exact buffer pool aborting on a fault) leaves
+        the counters exactly as the serial loop would.
+        """
         for pid in page_ids:
             self._check(pid)
-        payloads: list = []
-        seq = rand = skip = 0
+        seq = rand = skip = retries = 0
+        backoff = 0.0
         last = self._last_read
         near = self.near_window
         verify = self._verified_payload
+        injector = self.fault_injector
+        policy = self.retry_policy
         try:
             for pid in page_ids:
-                gap = pid - last - 1 if last is not None else -1
-                if 0 <= gap <= near:
-                    seq += 1
-                    skip += gap
-                else:
-                    rand += 1
-                last = pid
-                payloads.append(verify(pid))
+                attempt = 1
+                while True:
+                    gap = pid - last - 1 if last is not None else -1
+                    if 0 <= gap <= near:
+                        seq += 1
+                        skip += gap
+                    else:
+                        rand += 1
+                    last = pid
+                    try:
+                        if injector is not None:
+                            self._injected_read(pid)
+                        data = verify(pid)
+                    except TransientIOError as exc:
+                        if policy is not None:
+                            if attempt < policy.max_attempts:
+                                retries += 1
+                                backoff += policy.backoff_ms(attempt)
+                                attempt += 1
+                                continue
+                            if REGISTRY.enabled:
+                                _EXHAUSTED.inc(1, disk=self.name)
+                        if faults is None:
+                            raise
+                        faults.append(PageFault.from_error(exc))
+                        data = None
+                    except CorruptPageError as exc:
+                        if faults is None:
+                            raise
+                        faults.append(PageFault.from_error(exc))
+                        data = None
+                    break
+                yield data
         finally:
             stats = self.stats
             stats.page_reads += seq + rand
             stats.sequential_reads += seq
             stats.random_reads += rand
             stats.skipped_pages += skip
+            stats.read_retries += retries
+            self.simulated_backoff_ms += backoff
             self._last_read = last
             if REGISTRY.enabled:
                 if seq:
@@ -237,7 +311,8 @@ class DiskManager:
                     _READS.inc(rand, disk=self.name, kind="random")
                 if skip:
                     _SKIPPED.inc(skip, disk=self.name)
-        return payloads
+                if retries:
+                    _RETRIES.inc(retries, disk=self.name)
 
     def _verified_payload(self, page_id: int) -> bytes:
         """Checksum-verified payload of an already-accounted read."""

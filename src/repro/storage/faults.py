@@ -79,6 +79,13 @@ class PageFault:
     kind: str
     detail: str
 
+    @classmethod
+    def from_error(cls, exc: "TransientIOError | CorruptPageError"
+                   ) -> "PageFault":
+        """The fault record of one typed page error."""
+        return cls(disk=exc.disk, page_id=exc.page_id,
+                   kind=type(exc).__name__, detail=str(exc))
+
 
 #: Fault kinds the injector understands, and the operation they hit.
 FAULT_KINDS = {

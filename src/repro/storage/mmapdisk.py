@@ -27,8 +27,8 @@ the eager list backend pays, without weakening the fault model:
 
 The backend composes with the whole existing stack: the
 :class:`~repro.storage.faults.FaultInjector` hooks, the buffer pool,
-snapshots/scrub (``frame_bytes``/``store_frame``), and — through
-:class:`RetryingMmapDiskManager` — the transient-fault retry policy.
+snapshots/scrub (``frame_bytes``/``store_frame``), and the
+transient-fault retry policy of the shared batched read.
 
 Growth notes: ``mmap.resize`` raises ``BufferError`` while zero-copy
 views are exported, so the map grows by allocating a larger anonymous
@@ -48,7 +48,6 @@ from .disk import (_FRAME, _FRAME_MAGIC, CHECKSUM_ALGO, DiskManager,
                    FRAME_VERSION, PAGE_HEADER_SIZE, page_checksum,
                    parse_frame)
 from .faults import CorruptPageError
-from .retry import RetryingReadMixin
 
 #: NumPy mirror of the frame header struct ``<4sBBHI4x`` — used to parse
 #: a whole burst of headers in one strided, zero-copy view.
@@ -224,6 +223,3 @@ class MmapDiskManager(DiskManager):
         self._view[off] = self._view[off] ^ (1 << bit)
         self._verified[page_id] = 0
 
-
-class RetryingMmapDiskManager(RetryingReadMixin, MmapDiskManager):
-    """An :class:`MmapDiskManager` whose reads survive transient faults."""

@@ -150,34 +150,27 @@ class RecordStore:
 
     def read_page(self, page_no: int) -> np.ndarray:
         """Return the records of one store page as a structured array."""
-        if not 0 <= page_no < len(self._page_ids):
-            raise IndexError(
-                f"page {page_no} out of range (store has "
-                f"{len(self._page_ids)} pages)")
+        self._check_page(page_no)
         raw = self.pool.read(self._page_ids[page_no])
         n = self._records_on_page(page_no)
         return decode_records(raw, self.dtype, n)
 
-    def read_pages(self, first_page: int, last_page: int) -> np.ndarray:
+    def read_pages(self, first_page: int, last_page: int,
+                   faults: list | None = None) -> np.ndarray:
         """Decode a contiguous page run into one structured array.
 
         Inclusive on both ends.  The pages are fetched as one batch
         (:meth:`BufferPool.read_many`) with accounting identical to a
         serial :meth:`read_page` loop, then decoded in one pass by the
-        shared codec — the vectorized query path's bulk fetch.
+        shared codec.  ``faults`` selects skip mode (see
+        :meth:`DiskManager.read_many`): the records of an unreadable
+        page are left out and the fault is appended to the list.
         """
         if first_page > last_page:
             return np.empty(0, dtype=self.dtype)
         for p in (first_page, last_page):
-            if not 0 <= p < len(self._page_ids):
-                raise IndexError(
-                    f"page {p} out of range (store has "
-                    f"{len(self._page_ids)} pages)")
-        ids = self._page_ids[first_page:last_page + 1]
-        payloads = self.pool.read_many(ids)
-        counts = [self._records_on_page(p)
-                  for p in range(first_page, last_page + 1)]
-        return decode_pages(payloads, self.dtype, counts)
+            self._check_page(p)
+        return self._fetch(range(first_page, last_page + 1), faults)[0]
 
     def scan(self) -> Iterator[np.ndarray]:
         """Yield every page's records, front to back (sequential reads)."""
@@ -187,9 +180,9 @@ class RecordStore:
     def read_range(self, rid_start: int, rid_end: int) -> np.ndarray:
         """Read records with ``rid_start <= rid <= rid_end`` (inclusive).
 
-        The underlying pages are fetched in order, so a clustered range
-        costs one random seek plus sequential reads — the access pattern
-        subfields are designed to exploit.
+        The underlying pages are fetched in order as one batch, so a
+        clustered range costs one random seek plus sequential reads —
+        the access pattern subfields are designed to exploit.
         """
         if rid_start > rid_end:
             return np.empty(0, dtype=self.dtype)
@@ -197,19 +190,12 @@ class RecordStore:
         self._check_rid(rid_end)
         rpp = self.records_per_page
         first_page = rid_start // rpp
-        last_page = rid_end // rpp
-        parts = []
-        for p in range(first_page, last_page + 1):
-            page = self.read_page(p)
-            # Trim the partial first/last pages *before* concatenating,
-            # so a mid-page range never copies records it will discard.
-            lo = rid_start - p * rpp if p == first_page else 0
-            hi = rid_end - p * rpp + 1 if p == last_page else len(page)
-            parts.append(page[lo:hi])
-        return np.concatenate(parts) if len(parts) > 1 else parts[0]
+        block = self._fetch(range(first_page, rid_end // rpp + 1), None)[0]
+        base = first_page * rpp
+        return block[rid_start - base:rid_end - base + 1]
 
-    def read_page_set(self, page_nos) -> tuple[np.ndarray, np.ndarray,
-                                               np.ndarray]:
+    def read_page_set(self, page_nos, faults: list | None = None
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Fetch a set of store pages as one concatenated array.
 
         ``page_nos`` may repeat and is reduced to its sorted unique
@@ -218,22 +204,36 @@ class RecordStore:
         offsets)``: ``records[offsets[i]:]`` starts the records of page
         ``unique_pages[i]``, so callers can gather arbitrary slots with
         ``records[offsets[searchsorted(unique_pages, page)] + slot]``.
+        In skip mode (``faults`` given, as in :meth:`read_pages`)
+        ``unique_pages`` lists only the pages that survived.
         """
         upages = np.unique(np.asarray(page_nos, dtype=np.int64))
-        if len(upages) and not (
-                0 <= upages[0] and upages[-1] < len(self._page_ids)):
-            raise IndexError(
-                f"page {upages[0] if upages[0] < 0 else upages[-1]} out "
-                f"of range (store has {len(self._page_ids)} pages)")
-        ids = [self._page_ids[p] for p in upages.tolist()]
-        payloads = self.pool.read_many(ids)
-        counts = np.array([self._records_on_page(p)
-                           for p in upages.tolist()], dtype=np.int64)
-        records = decode_pages(payloads, self.dtype, counts.tolist())
-        offsets = np.zeros(len(upages), dtype=np.int64)
+        if len(upages):
+            self._check_page(int(upages[0]))
+            self._check_page(int(upages[-1]))
+        records, kept, counts = self._fetch(upages.tolist(), faults)
+        offsets = np.zeros(len(kept), dtype=np.int64)
         if len(counts) > 1:
             np.cumsum(counts[:-1], out=offsets[1:])
-        return records, upages, offsets
+        return records, np.asarray(kept, dtype=np.int64), offsets
+
+    def _fetch(self, page_nos, faults: list | None
+               ) -> tuple[np.ndarray, list[int], list[int]]:
+        """Batched fetch + one-pass decode of distinct store pages.
+
+        Returns ``(records, surviving page numbers, their record
+        counts)``; pages only go missing in skip mode.
+        """
+        page_nos = list(page_nos)
+        ids = [self._page_ids[p] for p in page_nos]
+        logged = len(faults) if faults is not None else 0
+        payloads = self.pool.read_many(ids, faults=faults)
+        if len(payloads) < len(ids):
+            failed = {f.page_id for f in faults[logged:]}
+            page_nos = [p for p, pid in zip(page_nos, ids)
+                        if pid not in failed]
+        counts = [self._records_on_page(p) for p in page_nos]
+        return decode_pages(payloads, self.dtype, counts), page_nos, counts
 
     def _records_on_page(self, page_no: int) -> int:
         if page_no == len(self._page_ids) - 1:
@@ -256,6 +256,12 @@ class RecordStore:
             self._tail_has_page = True
         self.disk.write(self._page_ids[-1],
                         self._tail[:self._tail_len].tobytes())
+
+    def _check_page(self, page_no: int) -> None:
+        if not 0 <= page_no < len(self._page_ids):
+            raise IndexError(
+                f"page {page_no} out of range (store has "
+                f"{len(self._page_ids)} pages)")
 
     def _check_rid(self, rid: int) -> None:
         if not 0 <= rid < self._count:

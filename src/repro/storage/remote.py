@@ -20,12 +20,11 @@ storage layer:
   verified on every read exactly like the local backends, so bit rot in
   the remote tier surfaces as the same typed
   :class:`~repro.storage.faults.CorruptPageError`.
-* :class:`RetryingRemoteDiskManager` — the same disk behind the shared
-  :class:`~repro.storage.retry.RetryingReadMixin`, so transient fetch
-  errors are retried with exponential backoff like any other transient
+  Transient fetch errors are retried under the disk's
+  :class:`~repro.storage.disk.RetryPolicy` like any other transient
   fault.
-* :func:`remote_backend` — binds a store + cache budget into a
-  ``(plain, retrying)`` disk-class pair that plugs straight into
+* :func:`remote_backend` — binds a store + cache budget into a disk
+  class that plugs straight into
   :class:`~repro.core.base.ValueIndex`'s ``disk_backend`` parameter, so
   any access method can run over the remote tier unchanged.
 
@@ -41,10 +40,9 @@ from collections import OrderedDict
 from collections.abc import Iterable
 
 from .disk import (DiskManager, PAGE_HEADER_SIZE, _FRAME, _FRAME_MAGIC,
-                   CHECKSUM_ALGO, FRAME_VERSION, PAGE_SIZE, page_checksum,
-                   parse_frame)
+                   CHECKSUM_ALGO, FRAME_VERSION, PAGE_SIZE, RetryPolicy,
+                   page_checksum, parse_frame)
 from .faults import CorruptPageError, PageError, TransientIOError
-from .retry import RetryingReadMixin
 from .stats import IOStats
 
 #: Default simulated service times for one object-store round trip,
@@ -58,8 +56,8 @@ REMOTE_PUT_MS = 6.0
 class RemoteFetchError(TransientIOError):
     """A remote GET failed transiently (timeout, throttle, 5xx).
 
-    A :class:`~repro.storage.faults.TransientIOError`, so the shared
-    retry machinery cures it; carries the object key for reports.
+    A :class:`~repro.storage.faults.TransientIOError`, so the disk's
+    retry policy cures it; carries the object key for reports.
     """
 
     def __init__(self, disk: str, page_id: int, key: str) -> None:
@@ -211,7 +209,8 @@ class RemoteDiskManager(DiskManager):
 
     def __init__(self, stats: IOStats | None = None, name: str = "disk",
                  page_size: int = PAGE_SIZE,
-                 near_window: int | None = None, *,
+                 near_window: int | None = None,
+                 retry_policy: RetryPolicy | None = None, *,
                  store: SimulatedObjectStore,
                  cache_pages: int = 64,
                  namespace: str = "") -> None:
@@ -228,7 +227,7 @@ class RemoteDiskManager(DiskManager):
         self.fetch_ms = 0.0
         self.put_ms = 0.0
         super().__init__(stats=stats, name=name, page_size=page_size,
-                         near_window=near_window)
+                         near_window=near_window, retry_policy=retry_policy)
 
     def _init_storage(self) -> None:
         #: page_id -> (payload, crc, length); insertion order = LRU.
@@ -365,14 +364,10 @@ class RemoteDiskManager(DiskManager):
                 "put_ms": self.put_ms}
 
 
-class RetryingRemoteDiskManager(RetryingReadMixin, RemoteDiskManager):
-    """A :class:`RemoteDiskManager` whose reads survive transient
-    fetch errors via the shared retry-with-backoff policy."""
-
 
 def remote_backend(store: SimulatedObjectStore, cache_pages: int = 64,
-                   namespace: str = "") -> tuple[type, type]:
-    """Bind a store + cache budget into a ``disk_backend`` class pair.
+                   namespace: str = "") -> type:
+    """Bind a store + cache budget into a ``disk_backend`` disk class.
 
     The result plugs into :class:`~repro.core.base.ValueIndex` (and
     therefore every access method) as ``disk_backend=remote_backend(
@@ -387,11 +382,5 @@ def remote_backend(store: SimulatedObjectStore, cache_pages: int = 64,
             super().__init__(store=store, cache_pages=cache_pages,
                              namespace=namespace, **kwargs)
 
-    class _BoundRetryingRemoteDisk(RetryingRemoteDiskManager):
-        def __init__(self, **kwargs) -> None:
-            super().__init__(store=store, cache_pages=cache_pages,
-                             namespace=namespace, **kwargs)
-
     _BoundRemoteDisk.__name__ = "RemoteDiskManager"
-    _BoundRetryingRemoteDisk.__name__ = "RetryingRemoteDiskManager"
-    return _BoundRemoteDisk, _BoundRetryingRemoteDisk
+    return _BoundRemoteDisk

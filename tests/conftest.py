@@ -1,4 +1,5 @@
-"""Shared fixtures: small deterministic fields of every kind."""
+"""Shared fixtures (small deterministic fields of every kind) and the
+brute-force answer oracle every equivalence test compares against."""
 
 from __future__ import annotations
 
@@ -16,6 +17,20 @@ PAPER_FIG1_HEIGHTS = np.array([
     [80.0, 80.0, 110.0, 120.0],
     [64.0, 74.0, 110.0, 88.0],
 ])
+
+
+def reference_query(field, lo: float, hi: float) -> tuple[np.ndarray, float]:
+    """Brute-force answer to the value query ``[lo, hi]``.
+
+    A float64 interval mask over every cell record of ``field`` — no
+    index, no paged storage — followed by the field's §3.2 area
+    estimate.  Returns ``(candidate records in cell order, area)``.
+    """
+    records = field.cell_records()
+    mask = ((records["vmin"].astype(np.float64) <= hi)
+            & (records["vmax"].astype(np.float64) >= lo))
+    candidates = records[mask]
+    return candidates, type(field).estimate_area(candidates, lo, hi)
 
 
 @pytest.fixture

@@ -76,7 +76,7 @@ def run_queries(index, workload):
         before = sum(p.counters().misses for p in pools)
         result = index.query(query)
         reads = sum(p.counters().misses for p in pools) - before
-        candidates = index._candidates(query.lo, query.hi)
+        candidates = index._candidates(query.lo, query.hi)[0]
         out.append((np.asarray(candidates).tobytes(), result.area, reads))
         index.clear_caches()
     return out
@@ -167,12 +167,8 @@ def test_fault_schedule_equivalence(field, n_shards):
     assert len(rb.faults) == len(rs.faults) == 1
     assert rb.candidate_count == rs.candidate_count
     assert rb.area == rs.area
-    base._fault_mode = engine._fault_mode = "skip"
-    try:
-        cb = base._candidates(query.lo, query.hi)
-        cs = engine._candidates(query.lo, query.hi)
-    finally:
-        base._fault_mode = engine._fault_mode = "raise"
+    cb, _ = base._candidates(query.lo, query.hi, "skip")
+    cs, _ = engine._candidates(query.lo, query.hi, "skip")
     assert sorted(cb["cell_id"]) == sorted(cs["cell_id"])
 
 
@@ -186,12 +182,8 @@ def test_skip_mode_degrades_one_shard_without_poisoning_gather(field):
     assert result.degraded
     assert len(result.faults) == 1
     # Every cell of every healthy shard is still in the answer.
-    engine._fault_mode = "skip"
-    try:
-        survivors = set(
-            engine._candidates(vr.lo, vr.hi)["cell_id"].tolist())
-    finally:
-        engine._fault_mode = "raise"
+    survivors = set(
+        engine._candidates(vr.lo, vr.hi, "skip")[0]["cell_id"].tolist())
     for rt in engine.shards:
         if rt is victim:
             continue
@@ -250,8 +242,8 @@ def test_updates_preserve_equivalence(field, workload, rng):
         rb, rs = base.query(query), engine.query(query)
         assert rs.candidate_count == rb.candidate_count
         assert rs.area == rb.area
-    cb = base._candidates(workload[0].lo, workload[0].hi)
-    cs = engine._candidates(workload[0].lo, workload[0].hi)
+    cb = base._candidates(workload[0].lo, workload[0].hi)[0]
+    cs = engine._candidates(workload[0].lo, workload[0].hi)[0]
     assert np.array_equal(np.sort(cb, order="cell_id"),
                           np.sort(cs, order="cell_id"))
 

@@ -64,7 +64,7 @@ def test_methods_agree_on_candidates_and_area(fixture_name, request, rng):
         for method in methods:
             result = method.query(query)
             got = set(int(c) for c in
-                      method._candidates(query.lo, query.hi)["cell_id"])
+                      method._candidates(query.lo, query.hi)[0]["cell_id"])
             assert got == expected, (method.name, query)
             assert result.candidate_count == len(expected)
             areas.add(round(result.area, 6))
@@ -136,9 +136,9 @@ def test_iall_dynamic_insert_matches_bulk(mono_dem, rng):
     dyn = IAllIndex(mono_dem, bulk=False)
     for query in random_queries(mono_dem, rng, count=8):
         a = set(int(c) for c in
-                bulk._candidates(query.lo, query.hi)["cell_id"])
+                bulk._candidates(query.lo, query.hi)[0]["cell_id"])
         b = set(int(c) for c in
-                dyn._candidates(query.lo, query.hi)["cell_id"])
+                dyn._candidates(query.lo, query.hi)[0]["cell_id"])
         assert a == b
 
 
@@ -148,10 +148,10 @@ def test_ihilbert_curve_variants_agree(smooth_dem, rng):
                 for c in ("hilbert", "zorder", "gray")]
     for query in random_queries(smooth_dem, rng, count=6):
         expected = set(int(c) for c in
-                       reference._candidates(query.lo, query.hi)["cell_id"])
+                       reference._candidates(query.lo, query.hi)[0]["cell_id"])
         for v in variants:
             got = set(int(c) for c in
-                      v._candidates(query.lo, query.hi)["cell_id"])
+                      v._candidates(query.lo, query.hi)[0]["cell_id"])
             assert got == expected, v.curve.name
 
 

@@ -27,7 +27,7 @@ def test_update_cell_grows_subfield_interval(smooth_dem):
 
     result = index.query(ValueQuery.exact(spike))
     assert result.candidate_count == 1
-    got = index._candidates(spike, spike)
+    got = index._candidates(spike, spike)[0]
     assert int(got["cell_id"][0]) == 10
     index.tree.check_invariants()
 
@@ -47,7 +47,7 @@ def test_update_cell_shrinks_subfield_interval(mono_dem):
 
     # Queries at the old maximum no longer hit that cell.
     got = {int(c) for c in
-           index._candidates(old_hi, old_hi)["cell_id"]}
+           index._candidates(old_hi, old_hi)[0]["cell_id"]}
     assert top_cell not in got
     index.tree.check_invariants()
 
@@ -70,7 +70,7 @@ def test_update_cell_consistent_with_fresh_scan(smooth_dem, rng):
         expected = set(records["cell_id"][
             (records["vmin"].astype(np.float64) <= hi)
             & (records["vmax"].astype(np.float64) >= lo)].tolist())
-        got = {int(c) for c in index._candidates(lo, hi)["cell_id"]}
+        got = {int(c) for c in index._candidates(lo, hi)[0]["cell_id"]}
         assert got == expected
 
 

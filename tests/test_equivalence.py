@@ -1,12 +1,13 @@
-"""Cross-method equivalence: all four access paths return the same answer.
+"""Cross-method equivalence: every access path returns the oracle's answer.
 
 The paper compares LinearScan, I-All and I-Hilbert on *performance*; this
-suite pins down that they (plus the cost-based planner) are functionally
-interchangeable — identical candidate-cell sets and identical answer
-areas for the same value query — on randomized fractal fields and on the
-adversarial monotonic field, across exact, one-sided and interval query
-variants.  The batch engine is checked against single-query execution in
-``test_core_batch.py``.
+suite pins down that they (plus the cost-based planner, the interval
+quadtree and the main-memory interval tree) are functionally
+interchangeable — each returns exactly the candidate cells and the answer
+area of the brute-force :func:`~tests.conftest.reference_query` — on
+randomized fractal fields and on the adversarial monotonic field, across
+exact, one-sided and interval query variants.  The batch engine is
+checked against single-query execution in ``test_core_batch.py``.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import pytest
 from repro.core import (
     IAllIndex,
     IHilbertIndex,
+    IntervalQuadtreeIndex,
+    ITreeIndex,
     LinearScanIndex,
     PlannedIndex,
     ValueQuery,
@@ -24,7 +27,10 @@ from repro.core import (
 from repro.field import DEMField
 from repro.synth import fractal_dem_heights, monotonic_field
 
-METHODS = [LinearScanIndex, IAllIndex, IHilbertIndex, PlannedIndex]
+from .conftest import reference_query
+
+METHODS = [LinearScanIndex, IAllIndex, IHilbertIndex, PlannedIndex,
+           IntervalQuadtreeIndex, ITreeIndex]
 
 FIELDS = {
     "fractal-rough": lambda: DEMField(fractal_dem_heights(32, 0.2, seed=3)),
@@ -68,31 +74,32 @@ def queries_for(field) -> list[ValueQuery]:
 
 
 def candidate_cells(index, query) -> set[int]:
-    records = index._candidates(query.lo, query.hi)
+    records = index._candidates(query.lo, query.hi)[0]
     cells = set(int(c) for c in records["cell_id"])
     assert len(cells) == len(records), "duplicate candidates returned"
     return cells
 
 
 def test_candidate_sets_identical(indexes):
-    baseline = indexes[0]
-    for query in queries_for(baseline.field):
-        expected = candidate_cells(baseline, query)
-        for index in indexes[1:]:
+    field = indexes[0].field
+    for query in queries_for(field):
+        want, _ = reference_query(field, query.lo, query.hi)
+        expected = set(int(c) for c in want["cell_id"])
+        for index in indexes:
             assert candidate_cells(index, query) == expected, \
-                f"{index.name} disagrees with {baseline.name} on {query}"
+                f"{index.name} disagrees with the oracle on {query}"
 
 
 def test_areas_identical(indexes):
-    baseline = indexes[0]
-    for query in queries_for(baseline.field):
-        expected = baseline.query(query, estimate="area").area
-        for index in indexes[1:]:
+    field = indexes[0].field
+    for query in queries_for(field):
+        _, expected = reference_query(field, query.lo, query.hi)
+        for index in indexes:
             area = index.query(query, estimate="area").area
             # Same candidate records, possibly summed in a different
             # order: allow only float round-off.
             assert area == pytest.approx(expected, rel=1e-9, abs=1e-9), \
-                f"{index.name} area differs from {baseline.name} on {query}"
+                f"{index.name} area differs from the oracle on {query}"
 
 
 def test_region_extraction_identical(indexes):

@@ -68,7 +68,7 @@ def test_isolines_via_value_index(smooth_dem):
     index = IHilbertIndex(smooth_dem)
     vr = smooth_dem.value_range
     level = (vr.lo + vr.hi) / 2.0
-    candidates = index._candidates(level, level)
+    candidates = index._candidates(level, level)[0]
     segments = extract_isolines(DEMField, candidates, level)
     assert segments
     # Every segment endpoint sits on the level set of the interpolant.

@@ -75,7 +75,7 @@ def test_full_pipeline_on_tin():
     assert result.regions
     assert result.area == pytest.approx(total_area(result.regions))
 
-    candidates = index._candidates(level, level)
+    candidates = index._candidates(level, level)[0]
     segments = extract_isolines(TINField, candidates, level)
     assert segments
 
@@ -93,8 +93,10 @@ def test_persisted_index_serves_isolines(tmp_path, smooth_dem):
     back = load_index(tmp_path / "i")
     vr = smooth_dem.value_range
     level = (vr.lo + vr.hi) / 2.0
-    a = extract_isolines(DEMField, index._candidates(level, level), level)
-    b = extract_isolines(DEMField, back._candidates(level, level), level)
+    a = extract_isolines(DEMField, index._candidates(level, level)[0],
+                         level)
+    b = extract_isolines(DEMField, back._candidates(level, level)[0],
+                         level)
     assert len(a) == len(b)
 
 
@@ -168,7 +170,7 @@ def test_region_areas_never_exceed_candidate_cells(small_tin, rng):
         result = index.query(ValueQuery(lo, hi), estimate="regions")
         regions = result.regions
         cand_ids = {int(c) for c in
-                    index._candidates(lo, hi)["cell_id"]}
+                    index._candidates(lo, hi)[0]["cell_id"]}
         assert {r.cell_id for r in regions} <= cand_ids
         # Total answer area cannot exceed the candidates' total area.
         if cand_ids:

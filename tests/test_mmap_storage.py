@@ -16,7 +16,6 @@ from repro.storage import (
     DiskManager,
     FaultInjector,
     MmapDiskManager,
-    RetryingMmapDiskManager,
     RetryPolicy,
     TransientIOError,
 )
@@ -202,7 +201,7 @@ def test_stats_match_list_backend_exactly():
 
 
 def test_retrying_mmap_disk_cures_transients():
-    disk = RetryingMmapDiskManager(
+    disk = MmapDiskManager(
         page_size=80, retry_policy=RetryPolicy(max_attempts=3))
     pid = disk.allocate()
     disk.write(pid, b"still here")

@@ -19,7 +19,9 @@ from repro.core import (
     BatchQueryEngine,
     IAllIndex,
     IHilbertIndex,
+    ITreeIndex,
     LinearScanIndex,
+    PlannedIndex,
     ValueQuery,
 )
 from repro.obs.metrics import REGISTRY
@@ -30,8 +32,6 @@ from repro.storage import (
     FaultSpec,
     MmapDiskManager,
     PageFault,
-    RetryingDiskManager,
-    RetryingMmapDiskManager,
     RetryPolicy,
     TransientIOError,
 )
@@ -44,8 +44,6 @@ METHODS = {
 
 BACKENDS = ["list", "mmap"]
 DISK_CLASSES = {"list": DiskManager, "mmap": MmapDiskManager}
-RETRYING_CLASSES = {"list": RetryingDiskManager,
-                    "mmap": RetryingMmapDiskManager}
 
 
 def _workloads(field) -> list[ValueQuery]:
@@ -208,7 +206,7 @@ def test_retry_policy_rejects_zero_attempts():
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_retries_cure_transient_faults(backend):
-    disk = RETRYING_CLASSES[backend](
+    disk = DISK_CLASSES[backend](
         page_size=80, retry_policy=RetryPolicy(max_attempts=4))
     pid = disk.allocate()
     disk.write(pid, b"survives")
@@ -223,7 +221,7 @@ def test_retries_cure_transient_faults(backend):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_retry_exhaustion_raises_typed_error(backend):
-    disk = RETRYING_CLASSES[backend](
+    disk = DISK_CLASSES[backend](
         page_size=80, retry_policy=RetryPolicy(max_attempts=3))
     pid = disk.allocate()
     disk.fault_injector = FaultInjector(seed=0)
@@ -235,7 +233,7 @@ def test_retry_exhaustion_raises_typed_error(backend):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_corruption_is_never_retried(backend):
-    disk = RETRYING_CLASSES[backend](
+    disk = DISK_CLASSES[backend](
         page_size=80, retry_policy=RetryPolicy(max_attempts=4))
     pid = disk.allocate()
     disk.write(pid, b"rotten")
@@ -394,6 +392,40 @@ def test_skip_mode_indexed_methods_report_the_page(method, backend,
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
+def test_skip_mode_planner_scan_plan_degrades(backend, smooth_dem):
+    index = PlannedIndex(smooth_dem, disk_backend=backend)
+    q = _workloads(smooth_dem)[0]
+    clean_count = index.query(q).candidate_count
+    lost = len(index.store.read_page(1))
+    pid = index.store.page_ids[1]
+    index.data_disk._flip_bit(pid, byte_index=0, bit=7)
+    index.clear_caches()
+    result = index.query(q, on_fault="skip")
+    assert index.last_plan.path == "scan"
+    assert result.degraded
+    assert result.candidate_count == clean_count - lost
+    assert [f.page_id for f in result.faults] == [pid]
+    assert result.faults[0].kind == "CorruptPageError"
+
+
+def test_skip_mode_interval_tree_degrades(smooth_dem):
+    index = ITreeIndex(smooth_dem)
+    q = _workloads(smooth_dem)[0]
+    clean_count = index.query(q).candidate_count
+    lost = len(index.store.read_page(1))
+    pid = index.store.page_ids[1]
+    index.data_disk._flip_bit(pid, byte_index=0, bit=7)
+    index.clear_caches()
+    result = index.query(q, on_fault="skip")
+    assert result.degraded
+    assert result.candidate_count == clean_count - lost
+    assert [f.page_id for f in result.faults] == [pid]
+    index.clear_caches()
+    with pytest.raises(CorruptPageError):
+        index.query(q)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("method", ["I-All", "I-Hilbert"])
 def test_index_page_faults_always_raise(method, backend, smooth_dem):
     # A damaged tree cannot bound what it missed, so skip mode still
@@ -508,7 +540,7 @@ from repro.core.query import ValueQuery as _VQ  # noqa: E402
 from repro.shard import ShardedEngine  # noqa: E402
 from repro.storage import (  # noqa: E402
     RemoteFetchError,
-    RetryingRemoteDiskManager,
+    RemoteDiskManager,
     SimulatedObjectStore,
     remote_backend,
 )
@@ -516,7 +548,7 @@ from repro.storage import (  # noqa: E402
 
 def _remote_disk(**kwargs):
     store = SimulatedObjectStore()
-    disk = RetryingRemoteDiskManager(
+    disk = RemoteDiskManager(
         page_size=80, store=store, cache_pages=0, **kwargs)
     pid = disk.allocate()
     disk.write(pid, b"cold bytes")

@@ -1,13 +1,16 @@
-"""Vectorized-engine equivalence: the fast path changes nothing but time.
+"""One read path: every access method against the oracle and the pins.
 
-The vectorized executor (``engine="vectorized"``, the default) must be
-observationally identical to the scalar page-at-a-time path
-(``engine="scalar"``): same candidate sets, same answer areas, and the
-same :class:`~repro.storage.stats.IOStats` field by field — page counts,
-sequential/random classification, cache hits — across the full matrix of
-{DEM, TIN} fields × {LinearScan, I-All, I-Hilbert} methods × {list,
-mmap} disk backends.  Plus hypothesis round-trips of the shared
-frame→records codec both engines decode through.
+Queries fetch their pages through one batched, fault-aware read path.
+On the full matrix of {DEM, TIN} fields × {LinearScan, I-All,
+I-Hilbert} methods × {list, mmap} disk backends, every answer must equal
+the brute-force :func:`~tests.conftest.reference_query` (same candidate
+records, same area) and every query must charge exactly the
+:class:`~repro.storage.stats.IOStats` pinned below — page counts,
+sequential/random classification, skipped pages, cache hits — cold and
+warm.  The pins were recorded from the retired page-at-a-time executor
+on this matrix, so they prove the batched path reads exactly what a
+per-page loop reads.  Plus hypothesis round-trips of the shared
+frame→records codec the batched fetch decodes through.
 """
 
 from __future__ import annotations
@@ -24,8 +27,11 @@ from repro.core import (
     ValueQuery,
 )
 from repro.field import DEMField
+from repro.storage import IOStats, PoolCounters
 from repro.storage.codec import decode_pages, decode_records
 from repro.synth import fractal_dem_heights, lyon_like
+
+from .conftest import reference_query
 
 METHODS = {
     "LinearScan": LinearScanIndex,
@@ -36,6 +42,87 @@ METHODS = {
 FIELDS = {
     "dem": lambda: DEMField(fractal_dem_heights(24, 0.6, seed=11)),
     "tin": lambda: lyon_like(num_sites=220, seed=7),
+}
+
+#: Per-query (page_reads, sequential_reads, random_reads, skipped_pages)
+#: of a cold query (caches cleared, counters reset), for each query of
+#: :func:`queries_for` in order.  Every other IOStats field is zero.
+COLD_IO = {
+    ("dem", "I-All"): [
+        (10, 4, 6, 0), (9, 4, 5, 0), (10, 4, 6, 0), (6, 2, 4, 0),
+        (5, 1, 4, 0), (7, 3, 4, 0), (6, 2, 4, 0), (6, 3, 3, 0), (9, 4, 5, 0),
+        (8, 3, 5, 0), (9, 4, 5, 0), (8, 4, 4, 0), (5, 1, 4, 0), (6, 2, 4, 0),
+        (4, 1, 3, 0),
+    ],
+    ("dem", "I-Hilbert"): [
+        (6, 4, 2, 0), (5, 3, 2, 0), (6, 4, 2, 0), (5, 3, 2, 1), (3, 1, 2, 0),
+        (5, 3, 2, 0), (5, 3, 2, 1), (5, 3, 2, 0), (6, 4, 2, 0), (6, 4, 2, 0),
+        (6, 4, 2, 0), (6, 4, 2, 0), (3, 1, 2, 0), (5, 3, 2, 1), (3, 1, 2, 0),
+    ],
+    ("dem", "LinearScan"): [
+        (5, 4, 1, 0), (5, 4, 1, 0), (5, 4, 1, 0), (5, 4, 1, 0), (5, 4, 1, 0),
+        (5, 4, 1, 0), (5, 4, 1, 0), (5, 4, 1, 0), (5, 4, 1, 0), (5, 4, 1, 0),
+        (5, 4, 1, 0), (5, 4, 1, 0), (5, 4, 1, 0), (5, 4, 1, 0), (5, 4, 1, 0),
+    ],
+    ("tin", "I-All"): [
+        (10, 5, 5, 0), (4, 0, 4, 0), (6, 3, 3, 1), (5, 2, 3, 2), (5, 2, 3, 2),
+        (10, 5, 5, 0), (5, 2, 3, 2), (10, 5, 5, 0), (8, 4, 4, 0),
+        (6, 3, 3, 1), (8, 4, 4, 0), (6, 3, 3, 1), (5, 2, 3, 2), (5, 2, 3, 2),
+        (4, 1, 3, 0),
+    ],
+    ("tin", "I-Hilbert"): [
+        (7, 5, 2, 0), (7, 5, 2, 0), (7, 5, 2, 0), (7, 5, 2, 0), (7, 5, 2, 0),
+        (7, 5, 2, 0), (7, 5, 2, 0), (7, 5, 2, 0), (7, 5, 2, 0), (7, 5, 2, 0),
+        (7, 5, 2, 0), (7, 5, 2, 0), (7, 5, 2, 0), (7, 5, 2, 0), (7, 5, 2, 0),
+    ],
+    ("tin", "LinearScan"): [
+        (6, 5, 1, 0), (6, 5, 1, 0), (6, 5, 1, 0), (6, 5, 1, 0), (6, 5, 1, 0),
+        (6, 5, 1, 0), (6, 5, 1, 0), (6, 5, 1, 0), (6, 5, 1, 0), (6, 5, 1, 0),
+        (6, 5, 1, 0), (6, 5, 1, 0), (6, 5, 1, 0), (6, 5, 1, 0), (6, 5, 1, 0),
+    ],
+}
+
+#: Warm run (``cache_pages=64``, caches never cleared) over the first
+#: eight queries: per-query (page_reads, sequential_reads, random_reads,
+#: skipped_pages, cache_hits), then the data pool's (hits, misses,
+#: evictions) after the run.
+WARM_IO = {
+    ("dem", "I-All"): (
+        [
+            (10, 4, 6, 0, 0), (0, 0, 0, 0, 9), (0, 0, 0, 0, 10),
+            (0, 0, 0, 0, 6), (0, 0, 0, 0, 5), (0, 0, 0, 0, 7),
+            (0, 0, 0, 0, 6), (0, 0, 0, 0, 6),
+        ], (26, 5, 0)),
+    ("dem", "I-Hilbert"): (
+        [
+            (6, 4, 2, 0, 0), (0, 0, 0, 0, 5), (0, 0, 0, 0, 6),
+            (0, 0, 0, 0, 5), (0, 0, 0, 0, 3), (0, 0, 0, 0, 5),
+            (0, 0, 0, 0, 5), (0, 0, 0, 0, 5),
+        ], (27, 5, 0)),
+    ("dem", "LinearScan"): (
+        [
+            (5, 4, 1, 0, 0), (0, 0, 0, 0, 5), (0, 0, 0, 0, 5),
+            (0, 0, 0, 0, 5), (0, 0, 0, 0, 5), (0, 0, 0, 0, 5),
+            (0, 0, 0, 0, 5), (0, 0, 0, 0, 5),
+        ], (35, 5, 0)),
+    ("tin", "I-All"): (
+        [
+            (10, 5, 5, 0, 0), (0, 0, 0, 0, 4), (0, 0, 0, 0, 6),
+            (0, 0, 0, 0, 5), (0, 0, 0, 0, 5), (0, 0, 0, 0, 10),
+            (0, 0, 0, 0, 5), (0, 0, 0, 0, 10),
+        ], (26, 6, 0)),
+    ("tin", "I-Hilbert"): (
+        [
+            (7, 5, 2, 0, 0), (0, 0, 0, 0, 7), (0, 0, 0, 0, 7),
+            (0, 0, 0, 0, 7), (0, 0, 0, 0, 7), (0, 0, 0, 0, 7),
+            (0, 0, 0, 0, 7), (0, 0, 0, 0, 7),
+        ], (42, 6, 0)),
+    ("tin", "LinearScan"): (
+        [
+            (6, 5, 1, 0, 0), (0, 0, 0, 0, 6), (0, 0, 0, 0, 6),
+            (0, 0, 0, 0, 6), (0, 0, 0, 0, 6), (0, 0, 0, 0, 6),
+            (0, 0, 0, 0, 6), (0, 0, 0, 0, 6),
+        ], (42, 6, 0)),
 }
 
 
@@ -61,53 +148,60 @@ def field(request):
     return FIELDS[request.param]()
 
 
+def field_name(field) -> str:
+    return "dem" if isinstance(field, DEMField) else "tin"
+
+
+def assert_matches_oracle(index, field, query, result) -> None:
+    """Same candidate records and area as the brute-force oracle."""
+    want, area = reference_query(field, query.lo, query.hi)
+    got = index._candidates(query.lo, query.hi)[0]
+    assert result.candidate_count == len(want), query
+    assert (np.sort(got, order="cell_id").tobytes()
+            == np.sort(want, order="cell_id").tobytes()), query
+    assert result.area == pytest.approx(area, rel=1e-9, abs=1e-9), query
+
+
 @pytest.mark.parametrize("method", sorted(METHODS))
 @pytest.mark.parametrize("backend", ["list", "mmap"])
-def test_vectorized_equals_scalar(field, method, backend, tmp_path_factory):
-    """Answers AND I/O accounting match the scalar engine exactly."""
-    kwargs = {"disk_backend": backend}
-    vec = METHODS[method](field, engine="vectorized", **kwargs)
-    scl = METHODS[method](field, engine="scalar", **kwargs)
-    for query in queries_for(field):
-        for index in (vec, scl):
-            index.clear_caches()
-            index.stats.reset()
-        rv = vec.query(query)
-        rs = scl.query(query)
-        assert rv.candidate_count == rs.candidate_count, query
-        assert rv.area == rs.area, query
-        assert rv.io == rs.io, query
-        assert vec.stats == scl.stats, query
+def test_vectorized_equals_scalar(field, method, backend):
+    """Cold answers match the oracle; I/O matches the pinned counts."""
+    index = METHODS[method](field, disk_backend=backend)
+    pinned = COLD_IO[field_name(field), method]
+    queries = queries_for(field)
+    assert len(pinned) == len(queries)
+    for query, (reads, seq, rand, skipped) in zip(queries, pinned):
+        index.clear_caches()
+        index.stats.reset()
+        result = index.query(query)
+        assert result.io == IOStats(page_reads=reads,
+                                    sequential_reads=seq,
+                                    random_reads=rand,
+                                    skipped_pages=skipped), query
+        assert index.stats == result.io, query
+        assert_matches_oracle(index, field, query, result)
 
 
 @pytest.mark.parametrize("method", sorted(METHODS))
 def test_vectorized_equals_scalar_warm_cache(field, method):
-    """The batched pool fetch keeps hit/miss accounting identical."""
-    vec = METHODS[method](field, engine="vectorized", cache_pages=64)
-    scl = METHODS[method](field, engine="scalar", cache_pages=64)
-    for query in queries_for(field)[:8]:
-        rv = vec.query(query)     # caches deliberately NOT cleared
-        rs = scl.query(query)
-        assert rv.candidate_count == rs.candidate_count
-        assert rv.area == rs.area
-        assert rv.io == rs.io
-    assert vec.stats == scl.stats
-    assert vec.store.pool.counters() == scl.store.pool.counters()
-
-
-def test_engine_validated():
-    field = FIELDS["dem"]()
-    with pytest.raises(ValueError, match="engine"):
-        LinearScanIndex(field, engine="simd")
-
-
-def test_scalar_engine_is_preserved_on_candidates():
-    """The scalar escape hatch actually takes the per-page path."""
-    field = FIELDS["dem"]()
-    index = LinearScanIndex(field, engine="scalar")
-    assert not index._vector_fetch_ok()
-    index = LinearScanIndex(field, engine="vectorized")
-    assert index._vector_fetch_ok()
+    """The batched pool fetch keeps hit/miss accounting at the pins."""
+    pinned, pool = WARM_IO[field_name(field), method]
+    for backend in ("list", "mmap"):
+        index = METHODS[method](field, cache_pages=64,
+                                disk_backend=backend)
+        for query, (reads, seq, rand, skipped, hits) in zip(
+                queries_for(field), pinned):
+            result = index.query(query)     # caches deliberately kept
+            assert result.io == IOStats(page_reads=reads,
+                                        sequential_reads=seq,
+                                        random_reads=rand,
+                                        skipped_pages=skipped,
+                                        cache_hits=hits), query
+            want, area = reference_query(field, query.lo, query.hi)
+            assert result.candidate_count == len(want), query
+            assert result.area == pytest.approx(area, rel=1e-9,
+                                                abs=1e-9), query
+        assert index.store.pool.counters() == PoolCounters(*pool)
 
 
 # -- codec round-trips -------------------------------------------------------

@@ -14,7 +14,7 @@ Usage::
 
     PYTHONPATH=src python tools/profile_query.py
     PYTHONPATH=src python tools/profile_query.py --method LinearScan \
-        --engine scalar --size 256 --top 40 --out results/profile.txt
+        --size 256 --top 40 --out results/profile.txt
 
 Exit status: 0 on success, 2 on usage errors.
 """
@@ -37,9 +37,6 @@ def main(argv: list[str] | None = None) -> int:
                         choices=["LinearScan", "I-All", "I-Hilbert"],
                         help="access method to profile (default: "
                              "I-Hilbert)")
-    parser.add_argument("--engine", default="vectorized",
-                        choices=["vectorized", "scalar"],
-                        help="execution engine (default: vectorized)")
     parser.add_argument("--size", type=int, default=128,
                         help="field side length in cells (default: 128)")
     parser.add_argument("--queries", type=int, default=10,
@@ -70,7 +67,7 @@ def main(argv: list[str] | None = None) -> int:
         "I-Hilbert": IHilbertIndex,
     }
     field = roseburg_like(cells_per_side=args.size)
-    index = factories[args.method](field, engine=args.engine)
+    index = factories[args.method](field)
     workload = []
     for q in QINTERVALS_FIG8:
         workload += value_query_workload(field.value_range, q,
@@ -89,7 +86,7 @@ def main(argv: list[str] | None = None) -> int:
     profiler.disable()
 
     buf = io.StringIO()
-    buf.write(f"profile: method={args.method} engine={args.engine} "
+    buf.write(f"profile: method={args.method} "
               f"field={args.size}x{args.size} "
               f"queries={len(workload)} seed={args.seed}\n")
     buf.write(f"batch: {result.groups} groups, "
