@@ -584,10 +584,12 @@ def micro(full: bool = False, seed: int = 0, smoke: bool = False,
     Times the five kernels the vectorized executor is built from —
     inverse-interpolation estimation, interval filter + pack, page
     decode, Hilbert key computation, greedy grouping — plus R*-tree
-    traversal, each as repeated rounds until a minimum measurement
-    time, reporting best/median ns per operation.  A separate ingest
-    section measures bulk-load cells/s (1M-cell field with ``full`` or
-    the default run) against the per-insert incremental path.
+    traversal and one aggregate-model refit (per cell of the largest
+    256² subfield), each as repeated rounds until a minimum
+    measurement time, reporting best/median ns per operation.  A
+    separate ingest section measures bulk-load cells/s (1M-cell field
+    with ``full`` or the default run) against the per-insert
+    incremental path.
 
     ``smoke=True`` shrinks the ingest fields and measurement budget,
     writes no JSON, and instead *gates* against the committed
@@ -602,6 +604,7 @@ def micro(full: bool = False, seed: int = 0, smoke: bool = False,
     from pathlib import Path
 
     from ..core import CostBasedGrouping, bulk_build, group_cells
+    from ..core.aggregate import DEFAULT_DEGREE, _fit_subfield
     from ..core.cost import ThresholdGrouping  # noqa: F401 (doc link)
     from ..curves import HilbertCurve2D
     from ..field.interpolation import triangle_band_fraction
@@ -698,6 +701,16 @@ def micro(full: bool = False, seed: int = 0, smoke: bool = False,
     kernels.append(("rtree_search", len(queries), lambda:
                     [tree.search(Rect.from_interval(lo, hi))
                      for lo, hi in queries]))
+
+    # 7. Aggregate curve fit: one model refit of the largest subfield
+    #    of the 256² terrain (band-area curves, least squares, bounds) —
+    #    the work every update repeats per touched subfield.
+    fit_index = IHilbertIndex(roseburg_like(cells_per_side=256))
+    fit_block = max((fit_index.store.read_range(sf.ptr_start, sf.ptr_end)
+                     for sf in fit_index.subfields), key=len)
+    kernels.append(("curve_fit", len(fit_block), lambda:
+                    _fit_subfield(fit_index.field_type, fit_block,
+                                  DEFAULT_DEGREE)))
 
     results = {name: _rounds(fn, ops) for name, ops, fn in kernels}
 

@@ -124,8 +124,11 @@ class Field(abc.ABC):
         (``repro.core.aggregate``) are fitted on.
 
         Generic implementation: one :meth:`estimate_area` call per
-        threshold.  Field types with a cheap closed form override this
-        with a single broadcast evaluation.
+        threshold — the reference the overrides are tested against.
+        Triangle fields (DEM, TIN) override it with
+        :func:`~repro.field.interpolation.triangle_band_area_curves`,
+        which evaluates only the thresholds inside each triangle's
+        value span.
         """
         thresholds = np.asarray(thresholds, dtype=np.float64)
         total = float(cls.estimate_area(records, -np.inf, np.inf))

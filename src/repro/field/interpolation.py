@@ -155,3 +155,75 @@ def triangle_band_fraction(v0, v1, v2, lo, hi):
     flat = (vmax - vmin) <= 0.0
     inside_flat = flat & (a >= lo) & (a <= hi)
     return np.where(inside_flat, 1.0, np.clip(frac, 0.0, 1.0))
+
+
+#: (triangle, threshold) pairs evaluated per slice in
+#: :func:`triangle_band_area_curves`.
+_PAIR_CHUNK = 16384
+
+
+def triangle_band_area_curves(v0, v1, v2, weights, thresholds):
+    """Weighted sub-level area curves of many linear triangles.
+
+    Returns ``(area_le, area_lt, total)`` where ``area_le[k]`` is
+    ``Σ w · triangle_fraction_below(v0, v1, v2, thresholds[k])``,
+    ``area_lt[k]`` the same for ``value < thresholds[k]`` (it drops the
+    completely flat triangles sitting exactly at the threshold), and
+    ``total`` is ``Σ w``.  ``weights`` is a scalar or one weight per
+    triangle; ``thresholds`` may come in any order.
+
+    A triangle's fraction is 0 below its minimum and 1 from its maximum
+    up, so only the thresholds strictly inside its own ``(lo, hi)`` need
+    the quadratic.  Fully-below triangles are counted with one
+    ``searchsorted`` over the sorted maxima (flat triangles included),
+    the in-span (triangle, threshold) pairs are enumerated with
+    ``searchsorted`` + ``repeat`` and evaluated with
+    :func:`triangle_fraction_below`, and ``bincount`` sums them per
+    threshold — O((n + m) log(n + m) + pairs) instead of a dense
+    ``n × m`` broadcast.
+    """
+    a = np.asarray(v0, dtype=float)
+    b = np.asarray(v1, dtype=float)
+    c = np.asarray(v2, dtype=float)
+    w = np.broadcast_to(np.asarray(weights, dtype=float), a.shape)
+    t = np.asarray(thresholds, dtype=float)
+    order = np.argsort(t, kind="stable")
+    ts = t[order]
+    lo = np.minimum(np.minimum(a, b), c)
+    hi = np.maximum(np.maximum(a, b), c)
+
+    # Fully below (hi <= t): prefix sums of weights in maximum order.
+    by_hi = np.argsort(hi, kind="stable")
+    prefix = np.concatenate([[0.0], np.cumsum(w[by_hi])])
+    le = prefix[np.searchsorted(hi[by_hi], ts, side="right")]
+
+    # In span (lo < t < hi): each triangle owns a contiguous run of the
+    # sorted thresholds; flat triangles own none.
+    start = np.searchsorted(ts, lo, side="right")
+    counts = np.maximum(np.searchsorted(ts, hi, side="left") - start, 0)
+    tri = np.repeat(np.arange(len(a)), counts)
+    offsets = np.cumsum(counts) - counts
+    k = np.arange(len(tri)) + np.repeat(start - offsets, counts)
+    # Evaluate in cache-sized slices: the kernel makes a few dozen
+    # elementwise passes, which run about twice as fast in cache.
+    frac = np.empty(len(tri))
+    for s in range(0, len(tri), _PAIR_CHUNK):
+        part = tri[s:s + _PAIR_CHUNK]
+        frac[s:s + _PAIR_CHUNK] = triangle_fraction_below(
+            a[part], b[part], c[part], ts[k[s:s + _PAIR_CHUNK]])
+    le = le + np.bincount(k, weights=frac * w[tri], minlength=len(ts))
+
+    # Flat atoms exactly at the threshold count for `<=` but not `<`.
+    flat = hi <= lo
+    flat_v = lo[flat]
+    by_v = np.argsort(flat_v, kind="stable")
+    flat_v = flat_v[by_v]
+    flat_pre = np.concatenate([[0.0], np.cumsum(w[flat][by_v])])
+    atoms = (flat_pre[np.searchsorted(flat_v, ts, side="right")]
+             - flat_pre[np.searchsorted(flat_v, ts, side="left")])
+
+    area_le = np.empty_like(ts)
+    area_lt = np.empty_like(ts)
+    area_le[order] = le
+    area_lt[order] = le - atoms
+    return area_le, area_lt, float(w.sum())

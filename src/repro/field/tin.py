@@ -16,7 +16,8 @@ import numpy as np
 from ..geometry import Interval
 from .base import Field
 from .delaunay import triangulate
-from .interpolation import linear_triangle, triangle_band_fraction
+from .interpolation import (linear_triangle, triangle_band_area_curves,
+                            triangle_band_fraction)
 
 #: Record layout of one TIN cell (triangle): 52 bytes → 78 per 4 KiB page.
 TIN_RECORD_DTYPE = np.dtype([
@@ -188,12 +189,18 @@ class TINField(Field):
             return 0.0
         vs = records["vs"].astype(np.float64)
         frac = triangle_band_fraction(vs[:, 0], vs[:, 1], vs[:, 2], lo, hi)
-        xs = records["xs"].astype(np.float64)
-        ys = records["ys"].astype(np.float64)
-        area = 0.5 * np.abs(
-            (xs[:, 1] - xs[:, 0]) * (ys[:, 2] - ys[:, 0])
-            - (xs[:, 2] - xs[:, 0]) * (ys[:, 1] - ys[:, 0]))
-        return float((frac * area).sum())
+        return float((frac * _triangle_areas(records)).sum())
+
+    @classmethod
+    def band_area_curves(cls, records: np.ndarray,
+                         thresholds: np.ndarray) -> tuple[
+                             np.ndarray, np.ndarray, float]:
+        """Both curves from the shared in-span kernel, each triangle
+        weighted by its area."""
+        vs = records["vs"].astype(np.float64)
+        return triangle_band_area_curves(
+            vs[:, 0], vs[:, 1], vs[:, 2], _triangle_areas(records),
+            thresholds)
 
     # -- helpers ----------------------------------------------------------
 
@@ -209,3 +216,12 @@ class TINField(Field):
         has_neg = (d1 < -eps) or (d2 < -eps) or (d3 < -eps)
         has_pos = (d1 > eps) or (d2 > eps) or (d3 > eps)
         return not (has_neg and has_pos)
+
+
+def _triangle_areas(records: np.ndarray) -> np.ndarray:
+    """Planar area of each TIN record's triangle."""
+    xs = records["xs"].astype(np.float64)
+    ys = records["ys"].astype(np.float64)
+    return 0.5 * np.abs(
+        (xs[:, 1] - xs[:, 0]) * (ys[:, 2] - ys[:, 0])
+        - (xs[:, 2] - xs[:, 0]) * (ys[:, 1] - ys[:, 0]))

@@ -23,8 +23,8 @@ from repro.core import (
     load_index,
     save_index,
 )
-from repro.core.aggregate import exact_aggregate
-from repro.field import DEMField
+from repro.core.aggregate import exact_aggregate, fit_aggregate_models
+from repro.field import DEMField, TINField
 from repro.shard import ShardedEngine
 from repro.synth import fractal_dem_heights
 
@@ -37,6 +37,21 @@ def field():
 @pytest.fixture(scope="module")
 def index(field):
     idx = IHilbertIndex(field)
+    idx.fit_aggregate_models()
+    return idx
+
+
+def make_tin():
+    rng = np.random.default_rng(11)
+    points = rng.uniform(0.0, 100.0, size=(150, 2))
+    values = (np.sin(points[:, 0] / 20.0) * 10.0
+              + points[:, 1] * 0.3 + 50.0)
+    return TINField(points, values)
+
+
+@pytest.fixture(scope="module")
+def tin_index():
+    idx = IHilbertIndex(make_tin())
     idx.fit_aggregate_models()
     return idx
 
@@ -63,6 +78,18 @@ def test_model_answers_within_bound(index, field, kind):
         exact = exact_aggregate(index, kind, lo, hi)
         got = index.aggregate(kind, lo, hi, mode="model")
         assert got.mode == "model"
+        if np.isfinite(got.bound):
+            assert abs(got.value - exact.value) <= got.bound
+        assert got.exact_subfields == 0
+
+
+@pytest.mark.parametrize("kind", AGGREGATE_KINDS)
+def test_tin_model_answers_within_bound(tin_index, kind):
+    """The TIN curves (area-weighted triangles) carry the same
+    guarantee as the DEM ones."""
+    for lo, hi in workload(tin_index.field):
+        exact = exact_aggregate(tin_index, kind, lo, hi)
+        got = tin_index.aggregate(kind, lo, hi, mode="model")
         if np.isfinite(got.bound):
             assert abs(got.value - exact.value) <= got.bound
         assert got.exact_subfields == 0
@@ -162,6 +189,31 @@ def test_models_survive_updates_and_compaction():
         exact = exact_aggregate(idx, kind, lo, hi)
         got = idx.aggregate(kind, lo, hi, mode="model")
         assert abs(got.value - exact.value) <= got.bound
+
+
+@pytest.mark.parametrize("make_field", [
+    lambda: DEMField(fractal_dem_heights(16, 0.9, seed=11)), make_tin],
+    ids=["dem", "tin"])
+def test_incremental_refits_match_a_fresh_fit(make_field):
+    """After several update batches the refitted models equal a fit
+    from scratch: no refit leaves a subfield's model stale."""
+    field = make_field()
+    idx = IHilbertIndex(field)
+    before = idx.fit_aggregate_models().coeffs.copy()
+    rng = np.random.default_rng(5)
+    vr = field.value_range
+    for _ in range(4):
+        ids = rng.choice(field.num_vertices, size=10, replace=False)
+        idx.apply_updates(ids, rng.uniform(vr.lo, vr.hi, size=10))
+    live = idx.aggregate_models
+    assert not np.array_equal(live.coeffs, before)
+    fresh = fit_aggregate_models(idx, degree=live.degree)
+    np.testing.assert_array_equal(live.dom, fresh.dom)
+    np.testing.assert_array_equal(live.totals, fresh.totals)
+    np.testing.assert_allclose(live.coeffs, fresh.coeffs,
+                               rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(live.bounds, fresh.bounds,
+                               rtol=1e-9, atol=1e-12)
 
 
 def test_lazy_fit_on_first_aggregate(field):
