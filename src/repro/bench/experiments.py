@@ -584,8 +584,9 @@ def micro(full: bool = False, seed: int = 0, smoke: bool = False,
     Times the five kernels the vectorized executor is built from —
     inverse-interpolation estimation, interval filter + pack, page
     decode, Hilbert key computation, greedy grouping — plus R*-tree
-    traversal and one aggregate-model refit (per cell of the largest
-    256² subfield), each as repeated rounds until a minimum
+    traversal, one aggregate-model refit (per cell of the largest
+    256² subfield) and the fused fetch + candidate filter (per record
+    of 256 warm terrain pages), each as repeated rounds until a minimum
     measurement time, reporting best/median ns per operation.  A
     separate ingest section measures bulk-load cells/s (1M-cell field
     with ``full`` or the default run) against the per-insert
@@ -610,7 +611,7 @@ def micro(full: bool = False, seed: int = 0, smoke: bool = False,
     from ..field.interpolation import triangle_band_fraction
     from ..geometry import Rect
     from ..rstar import RStarTree
-    from ..storage import DiskManager
+    from ..storage import DiskManager, RecordStore
     from ..storage.codec import decode_pages
 
     rng = np.random.default_rng(seed)
@@ -647,7 +648,8 @@ def micro(full: bool = False, seed: int = 0, smoke: bool = False,
                     triangle_band_fraction(v0, v1, v2, 300.0, 320.0)))
 
     # 2. Filter + pack: float64 interval mask over float32 records,
-    #    then gather of the survivors (the _candidates hot loop).
+    #    then gather of the survivors (a batch group's per-query split;
+    #    page_filter below times the same mask on fetched frames).
     n_rec = 1_000_000
     block = np.zeros(n_rec, dtype=[("vmin", "f4"), ("vmax", "f4"),
                                    ("cell", "i8")])
@@ -711,6 +713,19 @@ def micro(full: bool = False, seed: int = 0, smoke: bool = False,
     kernels.append(("curve_fit", len(fit_block), lambda:
                     _fit_subfield(fit_index.field_type, fit_block,
                                   DEFAULT_DEGREE)))
+
+    # 8. Page filter: one fused fetch -> candidates over 256 warm pages
+    #    of real (clustered 256² terrain) DEM records — the filtering
+    #    step's decode + interval mask on the fetched frames.
+    pf_records = fit_index.store.read_pages(0, 255)
+    pf_store = RecordStore(DiskManager(name="micro-pages"),
+                           pf_records.dtype, cache_pages=256)
+    pf_store.extend(pf_records)
+    pf_lo = float(np.quantile(pf_records["vmin"], 0.4))
+    pf_hi = pf_lo + 0.04 * float(pf_records["vmax"].max()
+                                 - pf_records["vmin"].min())
+    kernels.append(("page_filter", len(pf_records), lambda:
+                    pf_store.read_pages(0, 255, within=(pf_lo, pf_hi))))
 
     results = {name: _rounds(fn, ops) for name, ops, fn in kernels}
 

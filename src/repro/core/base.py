@@ -79,17 +79,6 @@ def fault_log(on_fault: FaultMode) -> list[PageFault] | None:
     return [] if on_fault == "skip" else None
 
 
-def in_interval(block: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Records of ``block`` whose ``[vmin, vmax]`` intersects ``[lo, hi]``.
-
-    Compared in float64: float32 records vs. a float64 query bound would
-    otherwise round the bound to float32 (NEP 50), disagreeing with the
-    R*-tree's float64 arithmetic.
-    """
-    return block[(block["vmin"].astype(np.float64) <= hi)
-                 & (block["vmax"].astype(np.float64) >= lo)]
-
-
 class ValueIndex(abc.ABC):
     """Base class for field-value access methods.
 
@@ -239,15 +228,15 @@ class ValueIndex(abc.ABC):
 
     def _scan(self, lo: float, hi: float,
               faults: list[PageFault] | None) -> np.ndarray:
-        """Whole-store fetch + one array-wide interval filter.
+        """Whole-store fetch + one interval filter over every frame.
 
         Reads the store front to back as a single batch (one seek,
         then sequential reads) and evaluates the interval mask over
-        every cell at once — LinearScan's whole access path, and the
-        scan plan of the cost-based planner.
+        every cell at once, on the fetched frames — LinearScan's whole
+        access path, and the scan plan of the cost-based planner.
         """
-        block = self.store.read_pages(0, self.store.num_pages - 1, faults)
-        return in_interval(block, lo, hi)
+        return self.store.read_pages(0, self.store.num_pages - 1, faults,
+                                     within=(lo, hi))
 
     def _gather_rids(self, rids, faults: list[PageFault] | None
                      ) -> np.ndarray:

@@ -224,9 +224,10 @@ class DEMField(Field):
         """
         if len(records) == 0:
             return 0.0
-        c = records["corners"].astype(np.float64)
-        lower = triangle_band_fraction(c[:, 0], c[:, 1], c[:, 2], lo, hi)
-        upper = triangle_band_fraction(c[:, 0], c[:, 2], c[:, 3], lo, hi)
+        # One contiguous row per corner: the kernels stream each once.
+        c = records["corners"].T.astype(np.float64, order="C")
+        lower = triangle_band_fraction(c[0], c[1], c[2], lo, hi)
+        upper = triangle_band_fraction(c[0], c[2], c[3], lo, hi)
         return float((lower + upper).sum() * 0.5)
 
     @classmethod

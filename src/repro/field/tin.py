@@ -187,8 +187,8 @@ class TINField(Field):
         """Vectorized answer-region area over candidate TIN records."""
         if len(records) == 0:
             return 0.0
-        vs = records["vs"].astype(np.float64)
-        frac = triangle_band_fraction(vs[:, 0], vs[:, 1], vs[:, 2], lo, hi)
+        vs = records["vs"].T.astype(np.float64, order="C")
+        frac = triangle_band_fraction(vs[0], vs[1], vs[2], lo, hi)
         return float((frac * _triangle_areas(records)).sum())
 
     @classmethod

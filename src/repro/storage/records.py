@@ -156,7 +156,9 @@ class RecordStore:
         return decode_records(raw, self.dtype, n)
 
     def read_pages(self, first_page: int, last_page: int,
-                   faults: list | None = None) -> np.ndarray:
+                   faults: list | None = None,
+                   within: tuple[float, float] | None = None
+                   ) -> np.ndarray:
         """Decode a contiguous page run into one structured array.
 
         Inclusive on both ends.  The pages are fetched as one batch
@@ -165,12 +167,16 @@ class RecordStore:
         shared codec.  ``faults`` selects skip mode (see
         :meth:`DiskManager.read_many`): the records of an unreadable
         page are left out and the fault is appended to the list.
+        ``within=(lo, hi)`` keeps only the records whose ``[vmin,
+        vmax]`` meets ``[lo, hi]`` — the filtering step fused into the
+        decode (:func:`~repro.storage.codec.decode_pages`).
         """
         if first_page > last_page:
             return np.empty(0, dtype=self.dtype)
         for p in (first_page, last_page):
             self._check_page(p)
-        return self._fetch(range(first_page, last_page + 1), faults)[0]
+        return self._fetch(range(first_page, last_page + 1), faults,
+                           within)[0]
 
     def scan(self) -> Iterator[np.ndarray]:
         """Yield every page's records, front to back (sequential reads)."""
@@ -194,8 +200,10 @@ class RecordStore:
         base = first_page * rpp
         return block[rid_start - base:rid_end - base + 1]
 
-    def read_page_set(self, page_nos, faults: list | None = None
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def read_page_set(self, page_nos, faults: list | None = None,
+                      within: tuple[float, float] | None = None
+                      ) -> tuple[np.ndarray, np.ndarray,
+                                 np.ndarray | None]:
         """Fetch a set of store pages as one concatenated array.
 
         ``page_nos`` may repeat and is reduced to its sorted unique
@@ -205,24 +213,32 @@ class RecordStore:
         ``unique_pages[i]``, so callers can gather arbitrary slots with
         ``records[offsets[searchsorted(unique_pages, page)] + slot]``.
         In skip mode (``faults`` given, as in :meth:`read_pages`)
-        ``unique_pages`` lists only the pages that survived.
+        ``unique_pages`` lists only the pages that survived.  With
+        ``within`` (as in :meth:`read_pages`) ``records`` holds only the
+        matching records and ``offsets`` is ``None``: page slots no
+        longer index it.
         """
         upages = np.unique(np.asarray(page_nos, dtype=np.int64))
         if len(upages):
             self._check_page(int(upages[0]))
             self._check_page(int(upages[-1]))
-        records, kept, counts = self._fetch(upages.tolist(), faults)
+        records, kept, counts = self._fetch(upages.tolist(), faults, within)
+        kept = np.asarray(kept, dtype=np.int64)
+        if within is not None:
+            return records, kept, None
         offsets = np.zeros(len(kept), dtype=np.int64)
         if len(counts) > 1:
             np.cumsum(counts[:-1], out=offsets[1:])
-        return records, np.asarray(kept, dtype=np.int64), offsets
+        return records, kept, offsets
 
-    def _fetch(self, page_nos, faults: list | None
+    def _fetch(self, page_nos, faults: list | None,
+               within: tuple[float, float] | None = None
                ) -> tuple[np.ndarray, list[int], list[int]]:
         """Batched fetch + one-pass decode of distinct store pages.
 
-        Returns ``(records, surviving page numbers, their record
-        counts)``; pages only go missing in skip mode.
+        Returns ``(records, surviving page numbers, their stored record
+        counts)``; pages only go missing in skip mode, and ``within``
+        filters the records, not the counts.
         """
         page_nos = list(page_nos)
         ids = [self._page_ids[p] for p in page_nos]
@@ -233,7 +249,8 @@ class RecordStore:
             page_nos = [p for p, pid in zip(page_nos, ids)
                         if pid not in failed]
         counts = [self._records_on_page(p) for p in page_nos]
-        return decode_pages(payloads, self.dtype, counts), page_nos, counts
+        return (decode_pages(payloads, self.dtype, counts, within),
+                page_nos, counts)
 
     def _records_on_page(self, page_no: int) -> int:
         if page_no == len(self._page_ids) - 1:

@@ -315,3 +315,46 @@ def test_sharded_matches_unsharded(field, index, n_shards):
                     hybrid.bound + 1e-9
             if kind != "avg":
                 assert hybrid.bound <= 5.0
+
+
+# ------------------------------------------- exact components per kind
+
+def _all_components(field_type, block, lo, hi, comps):
+    """Every exact component, whatever the kind needs (the reference)."""
+    vmins = block["vmin"].astype(np.float64)
+    vmaxs = block["vmax"].astype(np.float64)
+    mask = (vmins <= hi) & (vmaxs >= lo)
+    return {
+        "count": float(int(mask.sum())),
+        "sum": float(((vmins + vmaxs) * 0.5)[mask].sum()),
+        "area": float(field_type.estimate_area(block[mask], lo, hi)),
+    }
+
+
+@pytest.mark.parametrize("which", ["dem", "tin"])
+@pytest.mark.parametrize("mode", ["exact", "hybrid"])
+@pytest.mark.parametrize("kind", AGGREGATE_KINDS)
+def test_exact_components_match_the_all_components_reference(
+        which, mode, kind, index, tin_index, monkeypatch):
+    from repro.core import aggregate as agg_mod
+    grouped = index if which == "dem" else tin_index
+    scan = LinearScanIndex(grouped.field)
+    queries = workload(grouped.field, n=12, seed=9)
+
+    def answers():
+        out = []
+        for lo, hi in queries:
+            for tolerance in ((None,) if mode == "exact" else (0.0, 1.0)):
+                r = grouped.aggregate(kind, lo, hi, mode=mode,
+                                      tolerance=tolerance)
+                out.append((r.value.hex(), r.bound.hex(),
+                            r.exact_subfields))
+            r = exact_aggregate(scan, kind, lo, hi)
+            out.append((r.value.hex(), r.bound.hex()))
+        return out
+
+    got = answers()
+    monkeypatch.setattr(agg_mod, "_exact_components", _all_components)
+    want = answers()
+    assert got == want
+    assert any(row[2] for row in got if len(row) == 3)

@@ -2,7 +2,8 @@
 
 The batched calls — :meth:`DiskManager.read_many`,
 :meth:`BufferPool.read_many`, :meth:`RecordStore.read_pages` and
-:meth:`RecordStore.read_page_set` — are the only way query code fetches
+:meth:`RecordStore.read_page_set` (also with its fused ``within``
+filter) — are the only way query code fetches
 data pages, so they must be observationally identical to a loop of
 per-page :meth:`DiskManager.read` / :meth:`BufferPool.read` /
 :meth:`RecordStore.read_page` calls over the same page ids: same
@@ -47,7 +48,9 @@ NUM_RECORDS = 6 * 11 + 3                     # eleven full pages + a tail
 NUM_PAGES = 12
 CAPACITIES = {"none": 0, "fits": NUM_PAGES, "evicting": 3}
 FAULTS = ("none", "read_error", "bit_flip")
-LEVELS = ("disk", "pool", "pages", "set")
+LEVELS = ("disk", "pool", "pages", "set", "within")
+#: Query window of the ``within`` level (the fused candidate filter).
+WINDOW = (0.25, 0.75)
 
 
 def _records() -> np.ndarray:
@@ -109,6 +112,9 @@ def _batched(store, level, ids, faults):
                 store.pool.read_many(ids, tenant="t", faults=faults)]
     if level == "pages":
         return store.read_pages(ids[0], ids[1], faults).tobytes()
+    if level == "within":
+        records, upages, _ = store.read_page_set(ids, faults, within=WINDOW)
+        return records.tobytes(), upages.tolist()
     records, upages, offsets = store.read_page_set(ids, faults)
     return records.tobytes(), upages.tolist(), offsets.tolist()
 
@@ -122,7 +128,7 @@ def _serial(store, level, ids, faults):
         read = store.read_page
     if level == "pages":
         ids = range(ids[0], ids[1] + 1)
-    elif level == "set":
+    elif level in ("set", "within"):
         ids = sorted(set(ids))
     out, kept = [], []
     for pid in ids:
@@ -138,7 +144,13 @@ def _serial(store, level, ids, faults):
     if level in ("disk", "pool"):
         return [bytes(p) for p in out]
     records = (np.concatenate(out) if out
-               else np.empty(0, dtype=DTYPE)).tobytes()
+               else np.empty(0, dtype=DTYPE))
+    if level == "within":
+        lo, hi = WINDOW
+        keep = ((records["vmin"].astype(np.float64) <= hi)
+                & (records["vmax"].astype(np.float64) >= lo))
+        return records[keep].tobytes(), kept
+    records = records.tobytes()
     if level == "pages":
         return records
     counts = [len(page) for page in out]

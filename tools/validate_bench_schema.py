@@ -585,11 +585,11 @@ def validate_shard(doc: dict) -> str:
                if isinstance(max_speedup, (int, float)) else ""))
 
 
-#: Kernels every micro artifact must time (the vectorized hot path and
-#: the aggregate-model refit).
+#: Kernels every micro artifact must time (the vectorized hot path, the
+#: aggregate-model refit and the fused fetch + candidate filter).
 REQUIRED_KERNELS = {"estimate_kernel", "filter_pack", "page_decode",
                     "hilbert_keys", "group_cells", "rtree_search",
-                    "curve_fit"}
+                    "curve_fit", "page_filter"}
 #: Acceptance bars for the ingest section of the micro artifact.
 MICRO_MIN_BULK_CELLS = 1_000_000
 MICRO_MIN_BULK_SPEEDUP = 10.0
