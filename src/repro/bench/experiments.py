@@ -283,9 +283,9 @@ def batch_compare(full: bool = False, queries: int = 200, seed: int = 0,
     Replays the Fig. 8a query mix (200 random queries per Qinterval
     setting, identical draws for every method) two ways: one at a time
     against a cold store — the paper's protocol — and as one batch
-    through :class:`~repro.core.batch.BatchQueryEngine` with merged
-    intervals and a shared buffer pool.  Reports total page reads, the
-    reduction, and the pool's hit rate per access method.
+    through :class:`~repro.core.batch.BatchQueryEngine` (one worker)
+    with merged intervals and a shared buffer pool.  Reports total page
+    reads, the reduction, and the pool's hit rate per access method.
     """
     from ..core.batch import (
         BatchQueryEngine,
@@ -357,15 +357,14 @@ def throughput(full: bool = False, queries: int | None = None,
 
     Runs the Fig. 8a query mix against LinearScan, I-All and I-Hilbert
     (mmap-backed storage) through the
-    :class:`~repro.core.parallel.ParallelQueryEngine` at each worker
-    count, with the :class:`~repro.core.parallel.DeviceModel` turning
-    accounted page reads into real waits — the serving regime where
-    thread-level overlap pays.  Before the sweep each method's workload
-    is executed once through the serial
-    :class:`~repro.core.batch.BatchQueryEngine`; every parallel run is
-    then asserted to return identical per-query answers and identical
-    page counts, so the speedups below are speedups on *provably
-    equivalent* executions.
+    :class:`~repro.core.batch.BatchQueryEngine` at each worker count,
+    with the :class:`~repro.core.batch.DeviceModel` turning accounted
+    page reads into real waits — the serving regime where thread-level
+    overlap pays.  Before the sweep each method's workload is executed
+    once through the same engine on one worker without device waits;
+    every timed run is then asserted to return identical per-query
+    answers and identical page counts, so the speedups below are
+    speedups on *provably equivalent* executions.
 
     ``smoke=True`` shrinks everything (64² field, 24 queries, workers 1
     and 4, no JSON artifact) and exits non-zero if workers=4 fails to
@@ -376,7 +375,7 @@ def throughput(full: bool = False, queries: int | None = None,
     comparable across commits.  The *pipeline* sweep is the serving
     configuration — merged fetch groups, a shared
     :data:`~repro.core.batch.DEFAULT_BATCH_CACHE_PAGES`-page buffer
-    pool, and the batched hot path — whose oracle is one serial
+    pool, and the batched hot path — whose oracle is one one-worker
     :class:`~repro.core.batch.BatchQueryEngine` run of the same
     configuration: every pipelined point must match that oracle byte
     for byte (per-query answers, per-query I/O, and total
@@ -386,12 +385,11 @@ def throughput(full: bool = False, queries: int | None = None,
     import json as json_mod
     import time
 
-    from ..core import (
+    from ..core.batch import (
         BatchQueryEngine,
+        DEFAULT_BATCH_CACHE_PAGES,
         DeviceModel,
-        ParallelQueryEngine,
     )
-    from ..core.batch import DEFAULT_BATCH_CACHE_PAGES
     from ..storage import IOStats
     from ..synth import value_query_workload
 
@@ -415,7 +413,7 @@ def throughput(full: bool = False, queries: int | None = None,
     }
 
     lines = [
-        f"== throughput: parallel engine on Fig. 8a workload "
+        f"== throughput: batch engine workers on Fig. 8a workload "
         f"({size}x{size} terrain, mmap storage) ==",
         f"queries: {len(workload)} ({per_q} per Qinterval setting "
         f"{QINTERVALS_FIG8}), seed={seed}, estimate={estimate}",
@@ -432,8 +430,8 @@ def throughput(full: bool = False, queries: int | None = None,
         t0 = time.perf_counter()
         index = factory(field)
         build_seconds = time.perf_counter() - t0
-        # Serial reference: same groups, no device waits — the answer
-        # and page-count oracle for every parallel run.
+        # One-worker reference: same groups, no device waits — the
+        # answer and page-count oracle for every timed run.
         index.clear_caches()
         index.stats.reset()
         serial = BatchQueryEngine(index, cache_pages=0, merge=False).run(
@@ -450,9 +448,9 @@ def throughput(full: bool = False, queries: int | None = None,
         for n_workers in worker_counts:
             index.clear_caches()
             index.stats.reset()
-            engine = ParallelQueryEngine(index, workers=n_workers,
-                                         cache_pages=0, merge=False,
-                                         device=device)
+            engine = BatchQueryEngine(index, workers=n_workers,
+                                      cache_pages=0, merge=False,
+                                      device=device)
             t0 = time.perf_counter()
             par = engine.run(workload, estimate=estimate)
             wall = time.perf_counter() - t0
@@ -483,7 +481,7 @@ def throughput(full: bool = False, queries: int | None = None,
                 < qps_by_workers[worker_counts[0]]):
             regressions.append(name)
         # Pipeline sweep: merged groups + shared pool, checked
-        # byte-for-byte against a serial batch-engine oracle.
+        # byte-for-byte against a one-worker oracle.
         cache = DEFAULT_BATCH_CACHE_PAGES
         index.clear_caches()
         index.stats.reset()
@@ -499,9 +497,9 @@ def throughput(full: bool = False, queries: int | None = None,
         for n_workers in worker_counts:
             index.clear_caches()
             index.stats.reset()
-            engine = ParallelQueryEngine(index, workers=n_workers,
-                                         cache_pages=cache, merge=True,
-                                         device=device)
+            engine = BatchQueryEngine(index, workers=n_workers,
+                                      cache_pages=cache, merge=True,
+                                      device=device)
             t0 = time.perf_counter()
             par = engine.run(workload, estimate=estimate)
             wall = time.perf_counter() - t0
@@ -534,9 +532,9 @@ def throughput(full: bool = False, queries: int | None = None,
     lines += [
         "",
         "(answers, per-query I/O and total page counts verified "
-        "identical to the serial batch engine at every worker count; "
+        "identical to a one-worker run at every worker count; "
         "'+pipe' rows are the merged+cached pipeline, "
-        "verified byte-identical to a serial batch-engine oracle, "
+        "verified byte-identical to a one-worker oracle, "
         "speedup column relative to the legacy row at the same worker "
         "count)",
     ]

@@ -30,7 +30,7 @@ A small database-style front end over the library:
 ``query`` and ``batch`` accept ``--trace FILE`` (span tree as Chrome
 trace-event JSON, or JSONL with a ``.jsonl`` suffix),
 ``--metrics-out FILE`` (metrics-registry dump), and ``--workers N``
-(execute through the parallel query engine on N threads).
+(execute through the batch engine on N workers, N >= 1).
 
 Examples::
 
@@ -119,6 +119,14 @@ def cmd_build(args) -> int:
               f"({report.cells_per_second:,.0f} cells/s)")
     print(f"saved to {args.index_dir}")
     return 0
+
+
+def _worker_count(text: str) -> int:
+    """``--workers`` value: an integer >= 1."""
+    workers = int(text)
+    if workers < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {workers}")
+    return workers
 
 
 def _setup_observability(args, index) -> Tracer | None:
@@ -624,9 +632,9 @@ def main(argv: list[str] | None = None) -> int:
                        help="materialize exact answer polygons")
     query.add_argument("--max-regions", type=int, default=10,
                        help="polygons to print with --regions")
-    query.add_argument("--workers", type=int, default=1,
-                       help="run through the parallel engine with N "
-                            "worker threads (default: 1, serial)")
+    query.add_argument("--workers", type=_worker_count, default=1,
+                       help="run through the batch engine with N "
+                            "workers (default: 1, the direct query path)")
     _add_obs_flags(query)
     query.set_defaults(func=cmd_query)
 
@@ -669,9 +677,9 @@ def main(argv: list[str] | None = None) -> int:
                             "report the page-read reduction")
     batch.add_argument("--quiet", action="store_true",
                        help="suppress per-query lines, print totals only")
-    batch.add_argument("--workers", type=int, default=1,
-                       help="execute merged groups on N worker threads "
-                            "(default: 1, the serial batch engine)")
+    batch.add_argument("--workers", type=_worker_count, default=1,
+                       help="execute merged groups on N workers; worker "
+                            "0 is the calling thread (default: 1)")
     _add_obs_flags(batch)
     batch.set_defaults(func=cmd_batch)
 

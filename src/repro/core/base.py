@@ -285,6 +285,12 @@ class ValueIndex(abc.ABC):
         self.store.pool.clear()
         self.data_disk.reset_head()
 
+    def pools(self) -> list:
+        """Every buffer pool a query reads through: the data file's and,
+        for tree-backed methods, the R*-tree file's."""
+        tree = getattr(self, "tree", None)
+        return [self.store.pool] + ([tree.pool] if tree is not None else [])
+
     # -- live updates -------------------------------------------------------
 
     @contextmanager

@@ -1,4 +1,5 @@
-"""Batch execution of value queries with cross-query page caching.
+"""Batch execution of value queries: merged fetches, a shared page cache
+and a ticketed worker pool.
 
 The paper's protocol (§4) issues queries one at a time against a cold
 store, so two queries over overlapping value intervals pay the full
@@ -21,6 +22,39 @@ method uses — and per-query :class:`~repro.storage.stats.IOStats` charge
 each page to the query that actually read it, so a batch's total I/O
 counts shared pages once, not once per query.
 
+The merged groups run on ``workers`` workers.  The point is *latency
+hiding*, not CPU parallelism: on the simulated device a cold query spends
+almost all of its wall time waiting for page reads (8.5 ms per random
+read, see :data:`~repro.storage.stats.RANDOM_READ_MS`), and those waits
+overlap perfectly across threads.  The optional :class:`DeviceModel`
+turns the accounted I/O of each group fetch into a real ``time.sleep``
+*outside* the serialized section — the regime the throughput benchmark
+(``python -m repro.bench throughput``) measures.  Worker 0 is the calling
+thread, so ``workers=1`` (the default) starts no thread and runs the
+same loop as every other worker count.  The worker count is invisible in
+every output but wall time:
+
+* **Ticketed fetches.**  All page reads happen inside group fetches, and
+  :class:`_FetchTickets` serializes the fetches in global group order —
+  group ``g`` cannot start reading before group ``g-1`` finished.  The
+  shared buffer pools and the shared :class:`~repro.storage.stats.IOStats`
+  therefore evolve in the same order at every worker count, so page
+  counts, sequential/random classification, cache hits and the first
+  error raised are reproduced bit for bit.  Only the device waits and
+  the pure-CPU estimation step run concurrently.
+* **Static group ownership.**  Worker ``w`` owns groups ``g ≡ w (mod
+  workers)``, so per-worker I/O totals are a pure function of the
+  workload, not of scheduling.
+* **Shared-state discipline.**  The index's ``tracer`` attribute is
+  only touched while a ticket is held; estimation works on
+  candidate-array copies owned by the worker;
+  :meth:`~repro.core.base.ValueIndex._finish` is pure CPU.
+
+With a tracer installed, each worker records its own span tree
+(``worker[w] → group[g] → filter/fetch/estimate``) and the trees are
+grafted under the caller's ``batch`` span, next to ``merge``, so EXPLAIN
+ANALYZE shows per-worker timing and every span's I/O is exact.
+
 :func:`run_sequential` executes the same workload one query at a time
 (optionally cold, the paper's setting) and reports the same
 :class:`BatchResult` shape, so batched and sequential execution can be
@@ -30,13 +64,17 @@ compared directly; ``benchmarks/test_bench_batch.py`` and the
 
 from __future__ import annotations
 
+import threading
+import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from ..obs.metrics import REGISTRY
+from ..obs.trace import NULL_TRACER, Tracer
 from ..storage import IOStats, PoolCounters
+from ..storage.stats import RANDOM_READ_MS, SEQUENTIAL_READ_MS
 from .base import EstimateMode, FaultMode, ValueIndex
 from .query import QueryResult, ValueQuery
 
@@ -98,6 +136,31 @@ def merge_queries(queries: Sequence[ValueQuery],
     return groups
 
 
+@dataclass(frozen=True)
+class DeviceModel:
+    """Turns accounted page reads into real wall-time waits.
+
+    The millisecond costs default to the benchmark harness's disk model
+    (:data:`~repro.storage.stats.RANDOM_READ_MS` /
+    :data:`~repro.storage.stats.SEQUENTIAL_READ_MS`); ``scale`` shrinks
+    or stretches the waits uniformly (useful for fast smoke runs).
+    Skipped pages were still transferred before their checksum failed,
+    so they cost a sequential read — the same convention the harness
+    uses.
+    """
+
+    random_read_ms: float = RANDOM_READ_MS
+    sequential_read_ms: float = SEQUENTIAL_READ_MS
+    scale: float = 1.0
+
+    def delay_s(self, io: IOStats) -> float:
+        """Simulated device time of ``io``, in seconds."""
+        ms = (io.random_reads * self.random_read_ms
+              + (io.sequential_reads + io.skipped_pages)
+              * self.sequential_read_ms)
+        return ms * self.scale / 1000.0
+
+
 @dataclass
 class BatchResult:
     """Outcome of one batch of value queries against one access method."""
@@ -111,6 +174,13 @@ class BatchResult:
     pool: PoolCounters = dc_field(default_factory=PoolCounters)
     #: Number of merged fetch groups the batch executed.
     groups: int = 0
+    #: Number of workers the batch actually used.
+    workers: int = 0
+    #: Fetch I/O performed by each worker (index = worker id).  The sum
+    #: over workers equals :attr:`io` exactly.
+    worker_io: list[IOStats] = dc_field(default_factory=list)
+    #: Wall time each worker spent draining its groups, in seconds.
+    worker_wall_s: list[float] = dc_field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.results)
@@ -135,6 +205,10 @@ class BatchQueryEngine:
         Any built :class:`~repro.core.base.ValueIndex`.  The engine never
         copies its data; it only drives the index's own filtering step
         and (temporarily) enlarges its buffer pools.
+    workers:
+        Worker count (>= 1).  Worker 0 is the calling thread; the engine
+        starts ``workers - 1`` threads at most, and never more workers
+        than there are groups.
     cache_pages:
         Shared buffer-pool capacity lent to the index for the duration of
         a batch.  The index's own configured capacity is never reduced;
@@ -145,17 +219,28 @@ class BatchQueryEngine:
         Whether to merge overlapping query intervals into one filtering
         pass per connected run (default).  Disable to measure the effect
         of the shared cache alone.
+    device:
+        Optional :class:`DeviceModel`.  When given, every group fetch is
+        followed by a real sleep for its simulated device time, *after*
+        the serialized section — the waits overlap across workers.
+        ``None`` (default) skips the sleeps, so correctness tests run at
+        full speed.
     """
 
-    def __init__(self, index: ValueIndex,
+    def __init__(self, index: ValueIndex, workers: int = 1,
                  cache_pages: int = DEFAULT_BATCH_CACHE_PAGES,
-                 merge: bool = True) -> None:
+                 merge: bool = True,
+                 device: DeviceModel | None = None) -> None:
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
         if cache_pages < 0:
             raise ValueError(
                 f"cache_pages must be >= 0, got {cache_pages}")
         self.index = index
+        self.workers = workers
         self.cache_pages = cache_pages
         self.merge = merge
+        self.device = device
 
     def run(self, queries: Sequence[ValueQuery],
             estimate: EstimateMode = "area",
@@ -171,7 +256,8 @@ class BatchQueryEngine:
         ``on_fault`` follows :meth:`~repro.core.base.ValueIndex.query`:
         with ``"skip"``, data pages that cannot be read are dropped from
         the group's fetch and the surviving faults are attached to the
-        group's first member (the query that performed the I/O).
+        group's first member (the query that performed the I/O).  With
+        ``"raise"``, the first error in group order propagates.
         """
         if on_fault not in ("raise", "skip"):
             raise ValueError(
@@ -179,63 +265,205 @@ class BatchQueryEngine:
         queries = list(queries)
         if not queries:
             return BatchResult()
-        tracer = self.index.tracer
+        index = self.index
+        tracer = index.tracer
         with tracer.span("batch") as batch_span:
             with tracer.span("merge"):
                 groups = merge_queries(queries, merge=self.merge)
+            n_workers = min(self.workers, len(groups))
             if batch_span.enabled:
-                batch_span.attrs["method"] = self.index.name
-                batch_span.attrs["queries"] = len(queries)
-                batch_span.attrs["groups"] = len(groups)
-                batch_span.attrs["merge"] = self.merge
-            pools = self._pools()
+                batch_span.attrs.update(
+                    method=index.name, queries=len(queries),
+                    groups=len(groups), workers=n_workers,
+                    merge=self.merge)
+            pools = index.pools()
             saved_caps = [p.capacity for p in pools]
-            before_pool = [p.counters() for p in pools]
-            before_batch = self.index.stats.snapshot()
+            before_pool = _pool_totals(pools)
+            before_batch = index.stats.snapshot()
             for pool in pools:
                 pool.resize(max(pool.capacity, self.cache_pages))
-            results: list[QueryResult | None] = [None] * len(queries)
+            run = _Run(self, queries, groups, n_workers, estimate,
+                       on_fault, pools, tracer.enabled)
+            # Workers install their own tracer while holding a ticket;
+            # park the index on the null tracer meanwhile.
+            index.tracer = NULL_TRACER
             try:
-                if tracer.enabled:
-                    for gi, group in enumerate(groups):
-                        with tracer.span(f"group[{gi}]",
-                                         {"lo": group.lo, "hi": group.hi,
-                                          "size": group.size}):
-                            self._run_group(group, queries, results,
-                                            estimate, on_fault)
-                else:
-                    for group in groups:
-                        self._run_group(group, queries, results, estimate,
-                                        on_fault)
-                pool_traffic = sum(
-                    (p.counters().diff(b)
-                     for p, b in zip(pools, before_pool)),
-                    PoolCounters())
+                threads = [threading.Thread(target=run.work, args=(w,),
+                                            name=f"repro-worker-{w}")
+                           for w in range(1, n_workers)]
+                for t in threads:
+                    t.start()
+                run.work(0)
+                for t in threads:
+                    t.join()
+                pool_traffic = _pool_totals(pools).diff(before_pool)
             finally:
+                index.tracer = tracer
                 for pool, cap in zip(pools, saved_caps):
                     pool.resize(cap)
+            if batch_span.enabled:
+                for wt in run.tracers:
+                    batch_span.children.extend(wt.roots)
+            if run.tickets.error is not None:
+                raise run.tickets.error
         if REGISTRY.enabled:
-            method = self.index.name
+            method = index.name
             _BATCHES.inc(1, method=method)
             _BATCH_QUERIES.inc(len(queries), method=method)
             for group in groups:
                 _GROUP_SIZE.observe(group.size, method=method)
-        return BatchResult(results=results,
-                           io=self.index.stats.diff(before_batch),
-                           pool=pool_traffic, groups=len(groups))
+        return BatchResult(results=run.results,
+                           io=index.stats.diff(before_batch),
+                           pool=pool_traffic, groups=len(groups),
+                           workers=n_workers,
+                           worker_io=[c.io for c in run.counters],
+                           worker_wall_s=run.wall_s)
 
-    # -- internals ----------------------------------------------------------
 
-    def _run_group(self, group: QueryGroup, queries: list[ValueQuery],
-                   results: list[QueryResult | None],
-                   estimate: EstimateMode,
-                   on_fault: FaultMode = "raise") -> None:
-        """One filtering pass over the group's union interval."""
-        tracer = self.index.tracer
-        before = self.index.stats.snapshot()
-        candidates, group_faults = self.index._candidates(
-            group.lo, group.hi, on_fault)
-        fetch_io = self.index.stats.diff(before)
+# -- internals ----------------------------------------------------------------
+
+
+def _pool_totals(pools) -> PoolCounters:
+    return sum((p.counters() for p in pools), PoolCounters())
+
+
+class _Aborted(Exception):
+    """Internal: a sibling worker failed; unwind quietly."""
+
+
+class _FetchTickets:
+    """Serializes group fetches in global group order.
+
+    ``acquire(g)`` blocks until every fetch with a smaller ticket has
+    released; ``release(g)`` admits ticket ``g + 1``.  A fetch that
+    fails calls :meth:`abort` instead of releasing, which wakes every
+    waiter with :class:`_Aborted` — since fetches run strictly in ticket
+    order, the first recorded error is the one a single worker would
+    have raised.
+    """
+
+    def __init__(self) -> None:
+        self._cond = threading.Condition()
+        self._next = 0
+        self.error: BaseException | None = None
+
+    def acquire(self, ticket: int) -> None:
+        with self._cond:
+            while self._next != ticket and self.error is None:
+                self._cond.wait()
+            if self.error is not None:
+                raise _Aborted()
+
+    def release(self, ticket: int) -> None:
+        with self._cond:
+            self._next = ticket + 1
+            self._cond.notify_all()
+
+    def abort(self, exc: BaseException) -> None:
+        with self._cond:
+            if self.error is None:
+                self.error = exc
+            self._cond.notify_all()
+
+
+class _WorkerCounters:
+    """A worker's own fetch totals: what its tracer measures between
+    fetches.
+
+    Only the worker's own fetches advance these counters, so the spans
+    it opens outside the serialized section (``worker``, ``group``,
+    ``estimate``) see exactly its own I/O and pool traffic while sibling
+    workers read pages.  During a fetch the tracer reads the index's
+    shared counters instead, which only the ticket holder moves.
+    """
+
+    def __init__(self) -> None:
+        self.io = IOStats()
+        self.hits = self.misses = self.evictions = 0
+
+    def add(self, io: IOStats, pool: PoolCounters) -> None:
+        self.io += io
+        self.hits += pool.hits
+        self.misses += pool.misses
+        self.evictions += pool.evictions
+
+
+class _Run:
+    """One batch in flight: the state its workers share."""
+
+    def __init__(self, engine: BatchQueryEngine,
+                 queries: list[ValueQuery], groups: list[QueryGroup],
+                 n_workers: int, estimate: EstimateMode,
+                 on_fault: FaultMode, pools: list, traced: bool) -> None:
+        self.index = engine.index
+        self.device = engine.device
+        self.queries = queries
+        self.groups = groups
+        self.n_workers = n_workers
+        self.estimate = estimate
+        self.on_fault = on_fault
+        self.pools = pools
+        self.results: list[QueryResult | None] = [None] * len(queries)
+        self.tickets = _FetchTickets()
+        self.counters = [_WorkerCounters() for _ in range(n_workers)]
+        self.tracers = [Tracer(c.io, (c,)) if traced else NULL_TRACER
+                        for c in self.counters]
+        self.wall_s = [0.0] * n_workers
+
+    def work(self, w: int) -> None:
+        """Drain the groups worker ``w`` statically owns, in order."""
+        t0 = time.perf_counter()
+        wt = self.tracers[w]
+        try:
+            # The OS thread id rides along as ``tid`` so the Chrome
+            # trace exporter puts each worker on its own Perfetto lane.
+            with wt.span(f"worker[{w}]",
+                         {"worker": w, "tid": threading.get_native_id()}):
+                for gi in range(w, len(self.groups), self.n_workers):
+                    group = self.groups[gi]
+                    with wt.span(f"group[{gi}]",
+                                 {"lo": group.lo, "hi": group.hi,
+                                  "size": group.size}):
+                        self._run_group(gi, group, w, wt)
+        except _Aborted:
+            pass
+        except BaseException as exc:
+            self.tickets.abort(exc)
+        finally:
+            self.wall_s[w] = time.perf_counter() - t0
+
+    def _run_group(self, gi: int, group: QueryGroup, w: int,
+                   wt: Tracer) -> None:
+        """Fetch one group under its ticket, then estimate concurrently."""
+        index = self.index
+        own = self.counters[w]
+        self.tickets.acquire(gi)
+        # A failure inside the serialized section must never admit the
+        # next ticket: the exception propagates to :meth:`work`, which
+        # aborts every waiter (keeping the first, lowest-ticket error).
+        before_io = index.stats.snapshot()
+        before_pool = _pool_totals(self.pools)
+        if wt.enabled:
+            wt.stats, wt.pools = index.stats, self.pools
+        index.tracer = wt
+        try:
+            candidates, group_faults = index._candidates(
+                group.lo, group.hi, self.on_fault)
+        finally:
+            # A failed fetch is charged too, so an aborted batch's span
+            # tree still telescopes.
+            index.tracer = NULL_TRACER
+            fetch_io = index.stats.diff(before_io)
+            own.add(fetch_io, _pool_totals(self.pools).diff(before_pool))
+            if wt.enabled:
+                wt.stats, wt.pools = own.io, (own,)
+        self.tickets.release(gi)
+        # Everything below runs concurrently across workers: the
+        # simulated device wait and the pure-CPU estimation step.
+        if self.device is not None:
+            delay = self.device.delay_s(fetch_io)
+            if delay > 0.0:
+                time.sleep(delay)
         # Candidate records of a member query are exactly the union
         # candidates intersecting its own interval: the same predicate
         # every access method's filtering step applies, evaluated in
@@ -243,28 +471,16 @@ class BatchQueryEngine:
         vmin = candidates["vmin"].astype(np.float64)
         vmax = candidates["vmax"].astype(np.float64)
         for ordinal, i in enumerate(group.members):
-            q = queries[i]
+            q = self.queries[i]
             mine = candidates[(vmin <= q.hi) & (vmax >= q.lo)]
-            if tracer.enabled:
-                with tracer.span("estimate", {"mode": estimate,
-                                              "query": i}):
-                    result = self.index._finish(q, mine, estimate)
-            else:
-                result = self.index._finish(q, mine, estimate)
+            with wt.span("estimate", {"mode": self.estimate, "query": i}):
+                result = index._finish(q, mine, self.estimate)
+            # Fetch I/O and faults belong to the member that performed
+            # the fetch.
             result.io = fetch_io if ordinal == 0 else IOStats()
             if ordinal == 0:
-                # Faults belong to the member that performed the fetch,
-                # mirroring the I/O attribution above.
                 result.faults = group_faults
-            results[i] = result
-
-    def _pools(self):
-        """Every buffer pool the index reads through (data + index file)."""
-        pools = [self.index.store.pool]
-        tree = getattr(self.index, "tree", None)
-        if tree is not None:
-            pools.append(tree.pool)
-        return pools
+            self.results[i] = result
 
 
 def run_sequential(index: ValueIndex, queries: Sequence[ValueQuery],
@@ -276,19 +492,14 @@ def run_sequential(index: ValueIndex, queries: Sequence[ValueQuery],
     protocol and the natural contrast to :meth:`BatchQueryEngine.run`.
     """
     queries = list(queries)
-    pools = [index.store.pool]
-    tree = getattr(index, "tree", None)
-    if tree is not None:
-        pools.append(tree.pool)
-    before_pool = [p.counters() for p in pools]
+    pools = index.pools()
+    before_pool = _pool_totals(pools)
     before = index.stats.snapshot()
     results = []
     for query in queries:
         if cold:
             index.clear_caches()
         results.append(index.query(query, estimate=estimate))
-    pool_traffic = sum(
-        (p.counters().diff(b) for p, b in zip(pools, before_pool)),
-        PoolCounters())
     return BatchResult(results=results, io=index.stats.diff(before),
-                       pool=pool_traffic, groups=len(queries))
+                       pool=_pool_totals(pools).diff(before_pool),
+                       groups=len(queries))

@@ -8,10 +8,9 @@ engine selection and buffer-pool bookkeeping on its own.
 fields (each a built :class:`~repro.core.base.ValueIndex`), serializes
 engine access per field (the engines mutate index state and are not
 reentrant), brackets every call with buffer-pool tenant attribution, and
-picks the serial :class:`~repro.core.batch.BatchQueryEngine` or the
-:class:`~repro.core.parallel.ParallelQueryEngine` per the handle's
-worker budget.  Later sharding/serving PRs grow behind this API instead
-of re-plumbing CLI internals.
+runs batches through the one :class:`~repro.core.batch.BatchQueryEngine`
+with the handle's worker budget.  Sharding and serving grow behind this
+API instead of re-plumbing CLI internals.
 
 A field can be opened from four kinds of source:
 
@@ -40,10 +39,9 @@ import numpy as np
 
 from ..field.base import Field
 from ..obs.trace import Tracer
-from ..storage import IOStats
+from ..storage import IOStats, PoolCounters
 from .base import EstimateMode, FaultMode, ValueIndex
 from .batch import BatchQueryEngine, BatchResult, DEFAULT_BATCH_CACHE_PAGES
-from .parallel import ParallelQueryEngine
 from .persist import load_index, save_index
 from .query import QueryResult, ValueQuery
 
@@ -86,14 +84,6 @@ class FieldHandle:
         self.queries = 0
         self.updates = 0
 
-    def pools(self) -> list:
-        """Every buffer pool requests on this field read through."""
-        pools = [self.index.store.pool]
-        tree = getattr(self.index, "tree", None)
-        if tree is not None:
-            pools.append(tree.pool)
-        return pools
-
 
 class EngineFacade:
     """Named-field registry + the five engine verbs behind one API.
@@ -101,8 +91,8 @@ class EngineFacade:
     Parameters
     ----------
     default_workers:
-        Worker-thread budget a field opens with when ``open_field`` does
-        not override it (1 = serial engine).
+        Worker budget a field opens with when ``open_field`` does not
+        override it (1 = the calling thread alone).
     default_cache_pages:
         Shared buffer-pool capacity lent to an engine per batch, as in
         :class:`~repro.core.batch.BatchQueryEngine`.
@@ -306,8 +296,9 @@ class EngineFacade:
 
         ``queries`` accepts :class:`~repro.core.query.ValueQuery`
         objects or ``(lo, hi)`` pairs.  ``workers``/``cache_pages``
-        override the handle's defaults for this batch only; ``tracer``
-        records the engine span tree for just this call.
+        override the handle's defaults for this batch only (``workers``
+        below 1 raises :class:`ValueError`); ``tracer`` records the
+        engine span tree for just this call.
         """
         handle = self.handle(name)
         parsed = [q if isinstance(q, ValueQuery)
@@ -316,15 +307,10 @@ class EngineFacade:
         workers = handle.workers if workers is None else workers
         cache_pages = (handle.cache_pages if cache_pages is None
                        else cache_pages)
+        engine = BatchQueryEngine(handle.index, workers=workers,
+                                  cache_pages=cache_pages, merge=merge)
         with handle.lock, self._tenancy(handle, tenant), \
                 self._traced(handle, tracer):
-            if workers > 1:
-                engine = ParallelQueryEngine(
-                    handle.index, workers=workers,
-                    cache_pages=cache_pages, merge=merge)
-            else:
-                engine = BatchQueryEngine(
-                    handle.index, cache_pages=cache_pages, merge=merge)
             result = engine.run(parsed, estimate=estimate,
                                 on_fault=on_fault)
             handle.queries += len(parsed)
@@ -387,10 +373,7 @@ class EngineFacade:
         index = handle.index
         io: IOStats = index.stats
         data_pool = index.store.pool
-        pool = data_pool.counters()
-        tree = getattr(index, "tree", None)
-        if tree is not None:
-            pool = pool + tree.pool.counters()
+        pool = sum((p.counters() for p in index.pools()), PoolCounters())
         return {
             "field": name,
             "method": index.name,
@@ -423,7 +406,7 @@ class EngineFacade:
         (data pages and, for tree-backed indexes, index pages).
         Residency stays per-pool — page ids overlap between files."""
         merged: dict[str, dict] = {}
-        for pool in handle.pools():
+        for pool in handle.index.pools():
             for tenant, counters in pool.tenant_counters().items():
                 row = merged.setdefault(
                     tenant, {"hits": 0, "misses": 0, "bytes_read": 0})
@@ -459,8 +442,8 @@ class EngineFacade:
         ``tenant`` is None).  Callers hold the handle lock, so the
         pool's current-tenant attribute cannot be clobbered
         mid-request."""
-        return self._Tenancy(handle.pools() if tenant is not None else [],
-                             tenant)
+        pools = handle.index.pools() if tenant is not None else []
+        return self._Tenancy(pools, tenant)
 
     class _Traced:
         """Install a per-call tracer on the index, restore on exit."""
@@ -486,7 +469,7 @@ class EngineFacade:
     def _traced(self, handle: FieldHandle, tracer: Tracer | None):
         """Bracket an engine call with a caller-supplied tracer (no-op
         when ``tracer`` is None).  Callers hold the handle lock, so the
-        index's tracer slot cannot be clobbered mid-request; the
-        parallel engine parks/restores ``index.tracer`` itself inside
-        this bracket, which composes (its restore happens first)."""
+        index's tracer slot cannot be clobbered mid-request; the batch
+        engine parks/restores ``index.tracer`` itself inside this
+        bracket, which composes (its restore happens first)."""
         return self._Traced(handle.index, tracer)

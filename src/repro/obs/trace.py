@@ -4,9 +4,10 @@ The paper's argument is about *where* a query spends its page reads
 (clustered sequential bursts vs. scattered random probes), but end-of-
 query ``IOStats`` totals cannot show that.  A :class:`Tracer` captures a
 tree of context-manager *spans* (``query → plan → filter → fetch →
-estimate``, and ``batch → merge → group[i]`` in the batch engine), each
-recording wall time plus the :class:`~repro.storage.stats.IOStats` and
-buffer-pool counter deltas that accumulated while it was open.
+estimate``, and ``batch → merge, worker[w] → group[g] → filter/fetch/
+estimate`` in the batch engine at every worker count), each recording
+wall time plus the :class:`~repro.storage.stats.IOStats` and buffer-pool
+counter deltas that accumulated while it was open.
 
 Tracing is strictly opt-in.  Every index carries
 :data:`NULL_TRACER` by default, whose :meth:`~NullTracer.span` returns a
@@ -166,11 +167,7 @@ class Tracer:
         index records spans.  Returns ``self`` for chaining.
         """
         self.stats = index.stats
-        pools = [index.store.pool]
-        tree = getattr(index, "tree", None)
-        if tree is not None:
-            pools.append(tree.pool)
-        self.pools = tuple(pools)
+        self.pools = tuple(index.pools())
         index.tracer = self
         return self
 

@@ -32,7 +32,7 @@ The verbs:
 ``open``    open a catalogued field (idempotent per name)
 ``close``   close an open field
 ``query``   one value query (Q2) → candidates/area/io
-``batch``   many value queries through the batch/parallel engine
+``batch``   many value queries through the batch engine
 ``aggregate`` approximate COUNT/SUM/AVG/area with an error bound
 ``update``  apply vertex-value updates
 ``stats``   per-field + per-tenant serving statistics

@@ -105,7 +105,8 @@ class _FanoutPool:
         self._engine = engine
 
     def _pools(self) -> list:
-        return [pool for rt in self._engine.shards for pool in rt.pools()]
+        return [pool for rt in self._engine.shards
+                for pool in rt.index.pools()]
 
     @property
     def capacity(self) -> int:
@@ -244,14 +245,6 @@ class ShardRuntime:
     def name(self) -> str:
         """Stable shard name (``shard-<uid>``); uids survive splits."""
         return f"shard-{self.uid}"
-
-    def pools(self) -> list:
-        """This shard's buffer pools (data store + R*-tree, if any)."""
-        pools = [self.index.store.pool]
-        tree = getattr(self.index, "tree", None)
-        if tree is not None:
-            pools.append(tree.pool)
-        return pools
 
     def stats(self) -> dict:
         """The facade's serving statistics for this shard."""

@@ -141,3 +141,22 @@ def test_batch_command_bad_queries(heights_file, tmp_path):
         main(["batch", str(index_dir), str(empty)])
     with pytest.raises(SystemExit):
         main(["batch", str(index_dir), str(tmp_path / "missing.txt")])
+
+
+@pytest.mark.parametrize("command", ["query", "batch"])
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_are_rejected(heights_file, tmp_path, capsys,
+                                        command, workers):
+    index_dir = tmp_path / "idx"
+    main(["build", str(heights_file), str(index_dir)])
+    queries_file = tmp_path / "queries.txt"
+    queries_file.write_text("250 300\n")
+    args = ([str(index_dir), "250", "300"] if command == "query"
+            else [str(index_dir), str(queries_file)])
+    capsys.readouterr()
+    with pytest.raises(SystemExit):
+        main([command, *args, "--workers", workers])
+    captured = capsys.readouterr()
+    assert "--workers" in captured.err
+    assert "must be >= 1" in captured.err
+    assert "candidates" not in captured.out

@@ -89,6 +89,13 @@ def test_batch_serial_and_parallel_agree(facade):
     assert facade.handle("terrain").queries == 2 * len(queries)
 
 
+@pytest.mark.parametrize("workers", [0, -1])
+def test_batch_rejects_bad_worker_count(facade, workers):
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        facade.batch("terrain", [(300.0, 320.0)], workers=workers)
+    assert facade.handle("terrain").queries == 0
+
+
 def test_batch_accepts_value_query_objects(facade):
     batch = facade.batch("terrain", [ValueQuery(300.0, 320.0)])
     assert len(batch.results) == 1

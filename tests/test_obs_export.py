@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 
-from repro.core import ParallelQueryEngine, ValueQuery
+from repro.core import BatchQueryEngine, ValueQuery
 from repro.core.ihilbert import IHilbertIndex
 from repro.obs.export import render_prometheus, spans_to_chrome_trace
 from repro.obs.metrics import MetricsRegistry
@@ -121,7 +121,7 @@ class TestChromeTraceLanes:
         assert lanes == {1}
 
     def test_real_parallel_engine_records_native_tids(self, smooth_dem):
-        engine = ParallelQueryEngine(IHilbertIndex(smooth_dem), workers=2)
+        engine = BatchQueryEngine(IHilbertIndex(smooth_dem), workers=2)
         tracer = Tracer().attach(engine.index)
         vr = smooth_dem.value_range
         span = vr.hi - vr.lo

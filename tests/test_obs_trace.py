@@ -119,10 +119,12 @@ def test_batch_span_tree_and_attribution(smooth_dem):
     assert root.attrs["queries"] == 3
     assert root.attrs["groups"] == batch.groups
     names = [c.name for c in root.children]
-    assert names[0] == "merge"
-    assert names[1:] == [f"group[{i}]" for i in range(batch.groups)]
+    assert names == ["merge", "worker[0]"]
+    worker = root.children[1]
+    assert ([c.name for c in worker.children]
+            == [f"group[{i}]" for i in range(batch.groups)])
     # Two overlapping queries collapse into the first group.
-    assert root.children[1].attrs["size"] == 2
+    assert worker.children[0].attrs["size"] == 2
 
     self_sum = sum(span.self_io.page_reads for span, _ in root.walk())
     assert self_sum == batch.io.page_reads == root.io.page_reads

@@ -2,7 +2,7 @@
 """Validate committed benchmark artifacts against their schemas.
 
 Understands the repo-root artifacts and dispatches on the document's
-``experiment`` field: ``BENCH_throughput.json`` (parallel-engine
+``experiment`` field: ``BENCH_throughput.json`` (batch-engine worker
 sweep), ``BENCH_update.json`` (live-update degradation/compaction/WAL
 run), ``BENCH_serve.json`` (multi-tenant query-service load run),
 ``BENCH_shard.json`` (Hilbert-range scale-out sweep over tiered
@@ -86,8 +86,8 @@ def check_method(entry: dict, workers: list) -> None:
     if [p["workers"] for p in points] != workers:
         err(f"{ctx}: points sweep {[p['workers'] for p in points]} "
             f"!= declared workers {workers}")
-    # Parallelism must be invisible in the I/O accounting: every sweep
-    # point of a method reads exactly the serial page count.
+    # The worker count must be invisible in the I/O accounting: every
+    # sweep point of a method reads exactly the one-worker page count.
     serial = entry["serial_page_reads"]
     for point in points:
         if point["page_reads"] != serial:
